@@ -162,8 +162,153 @@ fork-demo:
 	cmp fork_flat.csv fork_forked.csv
 	@echo "forked sweep CSV is byte-identical to flat"
 
+# Per-feature smoke checks, one target per CI matrix entry; `make smoke`
+# runs them all. Multi-command lines run under `set -e` like a CI step.
+SMOKE := smoke-parallel-sweep smoke-metrics smoke-faults smoke-prof \
+	smoke-critpath smoke-scale smoke-fork smoke-tlc smoke-bench
+
+.PHONY: smoke $(SMOKE)
+smoke: $(SMOKE)
+
+# Race detector on the sweep engine; parallel sweep byte-identical to serial.
+smoke-parallel-sweep:
+	$(GO) test -race ./internal/sweep ./internal/harness .
+	$(MAKE) sweep-demo
+
+# Sampler CSV byte-identical across parallelism; the live exporter serves
+# valid Prometheus text (every non-comment line is "name value").
+smoke-metrics:
+	rm -f samples_p1.csv samples_p8.csv metrics.txt
+	$(GO) run ./cmd/dsmbench -exp table3 -size small -nodes 4 -parallel 1 \
+		-sample-every 200us -sample-csv samples_p1.csv >/dev/null 2>&1
+	$(GO) run ./cmd/dsmbench -exp table3 -size small -nodes 4 -parallel 8 \
+		-sample-every 200us -sample-csv samples_p8.csv >/dev/null 2>&1
+	cmp samples_p1.csv samples_p8.csv
+	@echo "sampler CSV is byte-identical at -parallel 1 and 8"
+	set -e; \
+	$(GO) run ./cmd/dsmbench -exp fig1 -size small -nodes 4 \
+		-metrics-addr 127.0.0.1:9101 -metrics-linger 60s \
+		>/dev/null 2>bench.log & \
+	BENCH_PID=$$!; \
+	for i in $$(seq 1 100); do \
+		curl -sf http://127.0.0.1:9101/metrics -o metrics.txt && break; \
+		sleep 0.2; \
+	done; \
+	kill $$BENCH_PID 2>/dev/null || true; \
+	grep -q '^dsmsim_sweep_points_total [0-9]' metrics.txt; \
+	grep -q '^dsmsim_sweep_points_completed [0-9]' metrics.txt; \
+	! grep -vE '^(#|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9.eE+-]+$$)' metrics.txt \
+		| grep -q . || (cat metrics.txt; exit 1); \
+	echo "live /metrics endpoint serves valid Prometheus text"
+
+# Fault-injection unit and determinism tests (race); verified run and
+# degradation table under 1% loss; same-seed lossy run is byte-identical.
+smoke-faults:
+	$(GO) test -race ./internal/faults ./internal/network ./internal/sweep .
+	$(MAKE) faults-demo
+	$(GO) run ./cmd/dsmrun -app lu -protocol hlrc -block 4096 -nodes 4 \
+		-faults 'drop=0.02,seed=3' > lossy_a.txt
+	$(GO) run ./cmd/dsmrun -app lu -protocol hlrc -block 4096 -nodes 4 \
+		-faults 'drop=0.02,seed=3' > lossy_b.txt
+	cmp lossy_a.txt lossy_b.txt
+	grep -q 'reliability' lossy_a.txt
+	@echo "seeded lossy run replays byte-identically"
+
+# Profiler unit and attribution tests (race); report and sharing table
+# demo; profiler CSV byte-identical across parallelism.
+smoke-prof:
+	$(GO) test -race ./internal/shareprof ./internal/sweep .
+	$(MAKE) prof-demo
+	rm -f prof_p1.csv prof_p8.csv
+	$(GO) run ./cmd/dsmbench -exp table9 -size small -nodes 4 -parallel 1 \
+		-prof-csv prof_p1.csv >/dev/null 2>&1
+	$(GO) run ./cmd/dsmbench -exp table9 -size small -nodes 4 -parallel 8 \
+		-prof-csv prof_p8.csv >/dev/null 2>&1
+	cmp prof_p1.csv prof_p8.csv
+	head -1 prof_p1.csv | grep -q '^app,protocol,block,notify,nodes,region,'
+	grep -q ',(total),' prof_p1.csv
+	@echo "profiler CSV is byte-identical at -parallel 1 and 8"
+
+# Critical-path unit, exact-invariant and what-if tests (race); the
+# recovered path length equals the completion time on a live run; what-if
+# prints prediction and re-simulated ground truth; crit CSV byte-identical
+# across parallelism; crit demo.
+smoke-critpath:
+	$(GO) test -race ./internal/critpath
+	$(GO) test -race -run 'Crit|WhatIf|ForkTrace' ./internal/core ./internal/sweep
+	$(GO) run ./cmd/dsmrun -app lu -protocol hlrc -block 4096 -nodes 8 \
+		-crit > crit_run.txt
+	set -e; \
+	TIME=$$(awk '/parallel time/ {print $$3}' crit_run.txt); \
+	CPATH=$$(awk '/critical path:/ {print $$3}' crit_run.txt); \
+	test -n "$$TIME" && test "$$TIME" = "$$CPATH"; \
+	echo "critical path $$CPATH equals completion time $$TIME"
+	$(GO) run ./cmd/dsmrun -app lu -protocol hlrc -block 4096 -nodes 8 \
+		-whatif msg=0.5 > whatif.txt
+	grep -q 'path-predicted' whatif.txt
+	grep -q 're-simulated' whatif.txt
+	@echo "what-if reports both predicted and re-simulated speedups"
+	rm -f crit_p1.csv crit_p8.csv
+	$(GO) run ./cmd/dsmbench -exp table3 -size small -nodes 4 -parallel 1 \
+		-crit-csv crit_p1.csv >/dev/null 2>&1
+	$(GO) run ./cmd/dsmbench -exp table3 -size small -nodes 4 -parallel 8 \
+		-crit-csv crit_p8.csv >/dev/null 2>&1
+	cmp crit_p1.csv crit_p8.csv
+	head -1 crit_p1.csv | grep -q '^app,protocol,block,notify,nodes,crit_total_ns,'
+	@echo "crit CSV is byte-identical at -parallel 1 and 8"
+	$(MAKE) crit-demo
+
+# Copyset, sparse-table and home-overlay unit tests (race); 256/1024-node
+# verified runs, footprint ceilings, golden CSV; scale demo.
+smoke-scale:
+	$(GO) test -race -run 'Copyset|Table|Homes' -v ./internal/proto
+	$(GO) test -run 'TestSweepCSVGolden|TestVerified1024|TestScaleFootprint256' -v .
+	$(MAKE) scale-demo
+
+# Checkpoint/fork equivalence and planner tests (race); forked vs flat
+# sweep CSV diff at -parallel 1 and 8; fork demo; hot path stays
+# zero-alloc with forking off.
+smoke-fork:
+	$(GO) test -race -run 'Fork|Checkpoint|Memo' ./internal/core ./internal/sweep .
+	rm -f flat.csv flat_samples.csv fork_p1.csv fork_p1_samples.csv fork_p8.csv fork_p8_samples.csv
+	set -e; \
+	GRID='none;lossy:drop=0.03,seed=5;jittery:jitter=30us,dup=0.01,seed=11'; \
+	ARGS='-app ocean-rowwise,fft -protocol sc,hlrc -block 1024,4096 -nodes 4 -size small -fork-warmup 6 -sample-every 200us'; \
+	$(GO) run ./cmd/dsmrun $$ARGS -fault-grid "$$GRID" -parallel 1 \
+		-csv flat.csv -sample-csv flat_samples.csv >/dev/null 2>&1; \
+	$(GO) run ./cmd/dsmrun $$ARGS -fault-grid "$$GRID" -fork -parallel 1 \
+		-csv fork_p1.csv -sample-csv fork_p1_samples.csv >/dev/null 2>&1; \
+	$(GO) run ./cmd/dsmrun $$ARGS -fault-grid "$$GRID" -fork -parallel 8 \
+		-csv fork_p8.csv -sample-csv fork_p8_samples.csv >/dev/null 2>&1; \
+	cmp flat.csv fork_p1.csv; \
+	cmp flat.csv fork_p8.csv; \
+	cmp flat_samples.csv fork_p1_samples.csv; \
+	cmp flat_samples.csv fork_p8_samples.csv; \
+	echo "forked sweep CSV + sample CSV are byte-identical to flat at -parallel 1 and 8"
+	$(MAKE) fork-demo
+	$(GO) test -run TestAccessNoFaultZeroAlloc -v ./internal/core
+
+# Protocol registry and lease-protocol tests (race); four-protocol sweep
+# with verification; tlc demo.
+smoke-tlc:
+	$(GO) test -race -short ./internal/proto/...
+	$(GO) run ./cmd/dsmrun -app fft,water-nsquared -protocol all \
+		-block 64,4096 -nodes 4 -size small > tlc_sweep.txt
+	set -e; for p in sc dc swlrc hlrc tlc; do grep -q " $$p " tlc_sweep.txt; done
+	@echo "all registered protocols ran and verified"
+	$(MAKE) tlc-demo
+
+# Benchmark smoke vs tracked baseline; hot path stays zero-alloc with and
+# without the profiler.
+smoke-bench:
+	$(MAKE) bench-json BENCHTIME=1x
+	$(GO) test -run TestAccessNoFaultZeroAlloc -v ./internal/core
+
 clean:
 	rm -f results.csv trace.json sweep_p1.txt sweep_pN.txt sweep_p1.csv sweep_pN.csv \
 		metrics_demo.csv metrics_demo.json prof_p1.csv prof_p8.csv \
 		crit_p1.csv crit_p8.csv \
-		fork_flat.csv fork_forked.csv bench_sweep_raw.txt
+		fork_flat.csv fork_forked.csv bench_sweep_raw.txt \
+		samples_p1.csv samples_p8.csv metrics.txt bench.log lossy_a.txt lossy_b.txt \
+		crit_run.txt whatif.txt flat.csv flat_samples.csv fork_p1.csv fork_p1_samples.csv \
+		fork_p8.csv fork_p8_samples.csv tlc_sweep.txt

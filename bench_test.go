@@ -20,6 +20,7 @@ import (
 	"dsmsim"
 	"dsmsim/internal/apps"
 	"dsmsim/internal/harness"
+	"dsmsim/internal/sweep"
 )
 
 var (
@@ -29,7 +30,7 @@ var (
 )
 
 func benchOpts() harness.Options {
-	opts := harness.Options{Size: apps.Small, Nodes: *benchNodes, Out: io.Discard}
+	opts := harness.Options{Options: sweep.Options{Size: apps.Small}, Nodes: *benchNodes, Out: io.Discard}
 	if *paperSize {
 		opts.Size = apps.Paper
 	}
@@ -91,7 +92,7 @@ func BenchmarkProtocolGranularity(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						seqM, _ := dsmsim.NewMachine(dsmsim.Config{Sequential: true, BlockSize: 4096})
 						sa, _ := dsmsim.NewApp(app, size)
-						seq, err := seqM.Run(sa)
+						seq, err := seqM.Run(context.Background(), sa)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -99,7 +100,7 @@ func BenchmarkProtocolGranularity(b *testing.B) {
 							Nodes: *benchNodes, BlockSize: g, Protocol: proto,
 						})
 						pa, _ := dsmsim.NewApp(app, size)
-						res, err := m.Run(pa)
+						res, err := m.Run(context.Background(), pa)
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -133,7 +134,7 @@ func BenchmarkAblationHomes(b *testing.B) {
 					StaticHomes: static,
 				})
 				app, _ := dsmsim.NewApp("ocean-rowwise", size)
-				res, err := m.Run(app)
+				res, err := m.Run(context.Background(), app)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -161,7 +162,7 @@ func BenchmarkAblationNotify(b *testing.B) {
 					Notify: notify,
 				})
 				app, _ := dsmsim.NewApp("lu", size)
-				res, err := m.Run(app)
+				res, err := m.Run(context.Background(), app)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -198,7 +199,7 @@ func BenchmarkSingleRun(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := m.Run(app); err != nil {
+					if _, err := m.Run(context.Background(), app); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -238,7 +239,7 @@ func BenchmarkEngineOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m, _ := dsmsim.NewMachine(dsmsim.Config{Nodes: 8, BlockSize: 256, Protocol: dsmsim.SC})
 		a, _ := dsmsim.NewApp("lu", apps.Small)
-		if _, err := m.Run(a); err != nil {
+		if _, err := m.Run(context.Background(), a); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,7 +273,7 @@ func benchPrim(b *testing.B, protocol string, iters int, run func(c *dsmsim.Ctx,
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Run(&primApp{run: func(c *dsmsim.Ctx) { run(c, iters) }}); err != nil {
+		if _, err := m.Run(context.Background(), &primApp{run: func(c *dsmsim.Ctx) { run(c, iters) }}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -82,11 +82,9 @@ func main() {
 	}
 
 	opts := harness.Options{
-		Size:     apps.Small,
-		Nodes:    *nodes,
-		Verify:   *verify,
-		Out:      os.Stdout,
-		Parallel: *parallel,
+		Options: sweep.Options{Size: apps.Small, Verify: *verify, Workers: *parallel},
+		Nodes:   *nodes,
+		Out:     os.Stdout,
 	}
 	if *size == "paper" {
 		opts.Size = apps.Paper
@@ -124,7 +122,7 @@ func main() {
 		if len(seeds) == 1 {
 			seed = seeds[0]
 		}
-		opts.Faults = buildPlan(*faultSpec, *straggler, seed, *forkWarmup)
+		opts.Config.Faults = buildPlan(*faultSpec, *straggler, seed, *forkWarmup)
 	}
 	if *fork {
 		if len(opts.FaultGrid) < 2 {
@@ -135,7 +133,7 @@ func main() {
 		}
 		opts.Fork = true
 	}
-	opts.SampleEvery = sim.Time(*sampleEvery)
+	opts.Config.SampleEvery = sim.Time(*sampleEvery)
 	if *sampleCSV != "" {
 		if *sampleEvery <= 0 {
 			fatal(fmt.Errorf("-sample-csv needs -sample-every"))
@@ -147,7 +145,7 @@ func main() {
 		defer f.Close()
 		opts.SampleCSV = f
 	}
-	opts.ShareProfile = *prof || *profCSV != ""
+	opts.Config.ShareProfile = *prof || *profCSV != ""
 	if *profCSV != "" {
 		f, err := os.OpenFile(*profCSV, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
@@ -156,7 +154,7 @@ func main() {
 		defer f.Close()
 		opts.ProfCSV = f
 	}
-	opts.CritPath = *crit || *critCSV != ""
+	opts.Config.CritPath = *crit || *critCSV != ""
 	if *critCSV != "" {
 		f, err := os.OpenFile(*critCSV, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
@@ -170,7 +168,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		opts.WhatIf = scale
+		opts.Config.WhatIf = scale
 	}
 	if *metricsAddr != "" {
 		reg := metrics.NewRegistry()
@@ -268,22 +266,9 @@ func seedList(s string) []uint64 {
 // buildPlan assembles one fault plan from the flag pieces. seed == 0 keeps
 // the plan's own seed; warmup > 0 gates the plan on barrier K.
 func buildPlan(spec, straggler string, seed uint64, warmup int) *faults.Plan {
-	plan, err := faults.Parse(spec)
+	plan, err := faults.Build(spec, straggler, seed, warmup)
 	if err != nil {
 		fatal(err)
-	}
-	if straggler != "" {
-		rules, err := faults.ParseStragglers(straggler)
-		if err != nil {
-			fatal(err)
-		}
-		plan.Add(rules...)
-	}
-	if seed != 0 {
-		plan.Add(faults.Seed(seed))
-	}
-	if warmup > 0 {
-		plan.Add(faults.StartAtBarrier(warmup))
 	}
 	return plan
 }

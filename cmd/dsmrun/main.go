@@ -28,48 +28,53 @@ import (
 	"time"
 
 	"dsmsim"
+	"dsmsim/internal/faults"
 	"dsmsim/internal/profiling"
 )
 
+// The flags are read where they apply: main validates them and builds the
+// option list shared by the single-run and sweep paths, and runOne and
+// runSweep add what only they use.
+var (
+	app      = flag.String("app", "lu", "application(s), comma-separated or 'all': "+strings.Join(dsmsim.AppNames(), ", "))
+	protocol = flag.String("protocol", "hlrc", "coherence protocol(s), comma-separated or 'all': "+strings.Join(dsmsim.AllProtocols(), ", "))
+	block    = flag.String("block", "4096", "coherence granularity list in bytes (64, 256, 1024, 4096) or 'all'")
+	notify   = flag.String("notify", "polling", "message notification(s): polling, interrupt, or both comma-separated")
+	nodes    = flag.Int("nodes", 16, "cluster size")
+	size     = flag.String("size", "small", "problem size: small or paper")
+	verify   = flag.Bool("verify", true, "check numeric results against the sequential reference")
+	parallel = flag.Int("parallel", 0, "max simulation runs in flight for sweeps (0 = one per CPU)")
+	static   = flag.Bool("static-homes", false, "disable first-touch home migration (ablation; single runs only)")
+	trace    = flag.String("trace", "", "write a deterministic line-format event trace (single runs only)")
+	traceJS  = flag.String("trace-json", "", "write a Chrome trace-event JSON file (single runs only)")
+	csvPath  = flag.String("csv", "", "append one machine-readable record per run to this file")
+	cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+
+	prof    = flag.Bool("prof", false, "attach the sharing-pattern profiler (per-region taxonomy and true/false-sharing attribution)")
+	profCSV = flag.String("prof-csv", "", "write sharing profiles as CSV to this file (implies -prof; appends for sweeps)")
+	profTop = flag.Int("prof-top", 10, "regions shown in the single-run sharing report (0 = all)")
+
+	crit    = flag.Bool("crit", false, "attach the critical-path profiler (exact longest dependency chain, attributed per component/node/region)")
+	critCSV = flag.String("crit-csv", "", "write critical-path component rows as CSV to this file (implies -crit; appends for sweeps)")
+	critTop = flag.Int("crit-top", 5, "nodes/regions shown in the single-run critical-path report (0 = all)")
+	whatIf  = flag.String("whatif", "", "what-if analysis: rescale one cost class (compute, msg, svc, lock, barrier) and re-simulate, e.g. 'lock=0.5'; single runs print predicted vs measured speedup")
+
+	sampleEvery = flag.Duration("sample-every", 0, "virtual-time metrics sampling interval (e.g. 100us; 0 = off)")
+	sampleCSV   = flag.String("sample-csv", "", "write the sampler time-series as CSV to this file (needs -sample-every)")
+	sampleJSON  = flag.String("sample-json", "", "write Chrome-trace counter tracks to this file (single runs only; needs -sample-every)")
+	metricsAddr = flag.String("metrics-addr", "", "serve live sweep metrics over HTTP on this address (sweeps only)")
+
+	faultSpec = flag.String("faults", "", "deterministic fault plan: drop=P,dup=P,jitter=DUR,partition=A-B@FROM:TO,linkdrop=A-B:P,rto=DUR,seed=N,start=K")
+	faultSeed = flag.Uint64("fault-seed", 0, "override the fault plan's PRNG seed (0 keeps the plan's seed)")
+	straggler = flag.String("straggler", "", "straggler node(s): NODExFACTOR[@FROM:TO], comma-separated (e.g. '3x2.5' or '0x4@10ms:20ms')")
+
+	faultGrid  = flag.String("fault-grid", "", "semicolon-separated fault variants NAME[:SPEC] (SPEC as in -faults; empty = healthy); every configuration runs once per variant")
+	fork       = flag.Bool("fork", false, "share warmup prefixes across -fault-grid variants: simulate each group's pre-fault prefix once and fork it per variant (output stays byte-identical)")
+	forkWarmup = flag.Int("fork-warmup", 0, "gate every fault plan on barrier K (adds start=K to -faults and each -fault-grid variant)")
+)
+
 func main() {
-	var (
-		app      = flag.String("app", "lu", "application(s), comma-separated or 'all': "+strings.Join(dsmsim.AppNames(), ", "))
-		protocol = flag.String("protocol", "hlrc", "coherence protocol(s), comma-separated or 'all': "+strings.Join(dsmsim.AllProtocols(), ", "))
-		block    = flag.String("block", "4096", "coherence granularity list in bytes (64, 256, 1024, 4096) or 'all'")
-		notify   = flag.String("notify", "polling", "message notification(s): polling, interrupt, or both comma-separated")
-		nodes    = flag.Int("nodes", 16, "cluster size")
-		size     = flag.String("size", "small", "problem size: small or paper")
-		verify   = flag.Bool("verify", true, "check numeric results against the sequential reference")
-		parallel = flag.Int("parallel", 0, "max simulation runs in flight for sweeps (0 = one per CPU)")
-		static   = flag.Bool("static-homes", false, "disable first-touch home migration (ablation; single runs only)")
-		trace    = flag.String("trace", "", "write a deterministic line-format event trace (single runs only)")
-		traceJS  = flag.String("trace-json", "", "write a Chrome trace-event JSON file (single runs only)")
-		csvPath  = flag.String("csv", "", "append one machine-readable record per run to this file")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-
-		prof    = flag.Bool("prof", false, "attach the sharing-pattern profiler (per-region taxonomy and true/false-sharing attribution)")
-		profCSV = flag.String("prof-csv", "", "write sharing profiles as CSV to this file (implies -prof; appends for sweeps)")
-		profTop = flag.Int("prof-top", 10, "regions shown in the single-run sharing report (0 = all)")
-
-		crit    = flag.Bool("crit", false, "attach the critical-path profiler (exact longest dependency chain, attributed per component/node/region)")
-		critCSV = flag.String("crit-csv", "", "write critical-path component rows as CSV to this file (implies -crit; appends for sweeps)")
-		critTop = flag.Int("crit-top", 5, "nodes/regions shown in the single-run critical-path report (0 = all)")
-		whatIf  = flag.String("whatif", "", "what-if analysis: rescale one cost class (compute, msg, svc, lock, barrier) and re-simulate, e.g. 'lock=0.5'; single runs print predicted vs measured speedup")
-
-		sampleEvery = flag.Duration("sample-every", 0, "virtual-time metrics sampling interval (e.g. 100us; 0 = off)")
-		sampleCSV   = flag.String("sample-csv", "", "write the sampler time-series as CSV to this file (needs -sample-every)")
-		sampleJSON  = flag.String("sample-json", "", "write Chrome-trace counter tracks to this file (single runs only; needs -sample-every)")
-		metricsAddr = flag.String("metrics-addr", "", "serve live sweep metrics over HTTP on this address (sweeps only)")
-
-		faultSpec = flag.String("faults", "", "deterministic fault plan: drop=P,dup=P,jitter=DUR,partition=A-B@FROM:TO,linkdrop=A-B:P,rto=DUR,seed=N,start=K")
-		faultSeed = flag.Uint64("fault-seed", 0, "override the fault plan's PRNG seed (0 keeps the plan's seed)")
-		straggler = flag.String("straggler", "", "straggler node(s): NODExFACTOR[@FROM:TO], comma-separated (e.g. '3x2.5' or '0x4@10ms:20ms')")
-
-		faultGrid  = flag.String("fault-grid", "", "semicolon-separated fault variants NAME[:SPEC] (SPEC as in -faults; empty = healthy); every configuration runs once per variant")
-		fork       = flag.Bool("fork", false, "share warmup prefixes across -fault-grid variants: simulate each group's pre-fault prefix once and fork it per variant (output stays byte-identical)")
-		forkWarmup = flag.Int("fork-warmup", 0, "gate every fault plan on barrier K (adds start=K to -faults and each -fault-grid variant)")
-	)
 	flag.Parse()
 	defer profiling.Start(*cpuProf, *memProf)()
 
@@ -87,9 +92,12 @@ func main() {
 		Size:          sz,
 	}
 	points := len(spec.Apps) * len(spec.Protocols) * len(spec.Granularities) * len(spec.Notify)
-	plan := faultPlan(*faultSpec, *faultSeed, *straggler)
-	if *forkWarmup > 0 && plan != nil {
-		plan.Add(dsmsim.StartAtBarrier(*forkWarmup))
+	var plan *dsmsim.FaultPlan
+	if *faultSpec != "" || *faultSeed != 0 || *straggler != "" {
+		var err error
+		if plan, err = faults.Build(*faultSpec, *straggler, *faultSeed, *forkWarmup); err != nil {
+			fatal(err)
+		}
 	}
 	grid := parseGrid(*faultGrid, *forkWarmup)
 	if *fork && len(grid) == 0 {
@@ -99,12 +107,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *profCSV != "" {
-		*prof = true
-	}
-	if *critCSV != "" {
-		*crit = true
-	}
 	var scale *dsmsim.CritScale
 	if *whatIf != "" {
 		var err error
@@ -112,21 +114,37 @@ func main() {
 			fatal(err)
 		}
 	}
-	if points == 1 && len(grid) == 0 {
+	single := points == 1 && len(grid) == 0
+	opts := []dsmsim.Option{
+		dsmsim.WithVerify(*verify),
+		dsmsim.WithFaults(plan),
+		dsmsim.WithSampleEvery(dsmsim.Time(*sampleEvery)),
+		dsmsim.WithParallelism(*parallel),
+		dsmsim.WithProgress(os.Stderr),
+		dsmsim.WithFaultGrid(grid...),
+	}
+	if *prof || *profCSV != "" {
+		opts = append(opts, dsmsim.WithShareProfile())
+	}
+	// A single run's what-if comparison needs the baseline's critical path
+	// for its prediction.
+	if *crit || *critCSV != "" || (single && scale != nil) {
+		opts = append(opts, dsmsim.WithCritPath())
+	}
+	if *fork {
+		opts = append(opts, dsmsim.WithFork())
+	}
+	if single {
 		if *metricsAddr != "" {
 			fatal(fmt.Errorf("-metrics-addr applies to sweeps only (1 configuration selected)"))
 		}
-		runOne(ctx, spec, plan, *verify, *static, *trace, *traceJS,
-			dsmsim.Time(*sampleEvery), *sampleCSV, *sampleJSON, *prof, *profCSV, *profTop,
-			*crit, *critCSV, *critTop, scale)
+		runOne(ctx, spec, plan, scale, opts)
 		return
 	}
 	if *static || *trace != "" || *traceJS != "" || *sampleJSON != "" {
 		fatal(fmt.Errorf("-static-homes/-trace/-trace-json/-sample-json apply to single runs only (%d configurations selected)", points))
 	}
-	runSweep(ctx, spec, plan, grid, *fork, *verify, *parallel, *csvPath,
-		dsmsim.Time(*sampleEvery), *sampleCSV, *metricsAddr, *prof, *profCSV,
-		*crit, *critCSV, scale)
+	runSweep(ctx, spec, len(grid) > 0, append(opts, dsmsim.WithWhatIf(scale)))
 }
 
 // parseGrid parses the -fault-grid syntax: semicolon-separated
@@ -144,12 +162,9 @@ func parseGrid(s string, warmup int) []dsmsim.FaultVariant {
 		name, spec, _ := strings.Cut(part, ":")
 		v := dsmsim.FaultVariant{Name: strings.TrimSpace(name)}
 		if spec != "" {
-			plan, err := dsmsim.ParseFaults(spec)
+			plan, err := faults.Build(spec, "", 0, warmup)
 			if err != nil {
 				fatal(fmt.Errorf("-fault-grid variant %q: %v", v.Name, err))
-			}
-			if warmup > 0 {
-				plan.Add(dsmsim.StartAtBarrier(warmup))
 			}
 			v.Plan = plan
 		}
@@ -158,98 +173,44 @@ func parseGrid(s string, warmup int) []dsmsim.FaultVariant {
 	return grid
 }
 
-// faultPlan builds the fault plan from the -faults / -fault-seed /
-// -straggler flags; nil when none are set.
-func faultPlan(spec string, seed uint64, straggler string) *dsmsim.FaultPlan {
-	if spec == "" && seed == 0 && straggler == "" {
-		return nil
-	}
-	plan, err := dsmsim.ParseFaults(spec)
+// appendFile opens path for appending, creating it if needed.
+func appendFile(path string) *os.File {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		fatal(err)
 	}
-	if straggler != "" {
-		rules, err := dsmsim.ParseStragglers(straggler)
-		if err != nil {
-			fatal(err)
-		}
-		plan.Add(rules...)
-	}
-	if seed != 0 {
-		plan.Add(dsmsim.FaultSeed(seed))
-	}
-	return plan
+	return f
 }
 
 // runSweep fans the cross product out over the worker pool and prints one
 // speedup row per configuration.
-func runSweep(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan, grid []dsmsim.FaultVariant, fork, verify bool, parallel int, csvPath string,
-	sampleEvery dsmsim.Time, sampleCSV, metricsAddr string, prof bool, profCSV string,
-	crit bool, critCSV string, whatIf *dsmsim.CritScale) {
-	opts := []dsmsim.Option{
-		dsmsim.WithParallelism(parallel),
-		dsmsim.WithProgress(os.Stderr),
-		dsmsim.WithVerify(verify),
-	}
-	if len(grid) > 0 {
-		opts = append(opts, dsmsim.WithFaultGrid(grid...))
-	}
-	if fork {
-		opts = append(opts, dsmsim.WithFork())
-	}
-	if prof {
-		opts = append(opts, dsmsim.WithShareProfile())
-	}
-	if profCSV != "" {
-		f, err := os.OpenFile(profCSV, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fatal(err)
-		}
+func runSweep(ctx context.Context, spec dsmsim.SweepSpec, hasGrid bool, opts []dsmsim.Option) {
+	if *profCSV != "" {
+		f := appendFile(*profCSV)
 		defer f.Close()
 		opts = append(opts, dsmsim.WithProfCSV(f))
 	}
-	if crit {
-		opts = append(opts, dsmsim.WithCritPath())
-	}
-	if critCSV != "" {
-		f, err := os.OpenFile(critCSV, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fatal(err)
-		}
+	if *critCSV != "" {
+		f := appendFile(*critCSV)
 		defer f.Close()
 		opts = append(opts, dsmsim.WithCritCSV(f))
 	}
-	if whatIf != nil {
-		opts = append(opts, dsmsim.WithWhatIf(whatIf))
-	}
-	if plan != nil {
-		opts = append(opts, dsmsim.WithFaults(plan))
-	}
-	if csvPath != "" {
-		f, err := os.OpenFile(csvPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fatal(err)
-		}
+	if *csvPath != "" {
+		f := appendFile(*csvPath)
 		defer f.Close()
 		opts = append(opts, dsmsim.WithCSV(f))
 	}
-	if sampleEvery > 0 {
-		opts = append(opts, dsmsim.WithSampleEvery(sampleEvery))
-	}
-	if sampleCSV != "" {
-		if sampleEvery <= 0 {
+	if *sampleCSV != "" {
+		if *sampleEvery <= 0 {
 			fatal(fmt.Errorf("-sample-csv needs -sample-every"))
 		}
-		f, err := os.OpenFile(sampleCSV, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fatal(err)
-		}
+		f := appendFile(*sampleCSV)
 		defer f.Close()
 		opts = append(opts, dsmsim.WithSampleCSV(f))
 	}
-	if metricsAddr != "" {
+	if *metricsAddr != "" {
 		reg := dsmsim.NewMetrics()
-		addr, stop, err := reg.Serve(metricsAddr)
+		addr, stop, err := reg.Serve(*metricsAddr)
 		if err != nil {
 			fatal(err)
 		}
@@ -263,7 +224,7 @@ func runSweep(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan
 		fatal(err)
 	}
 	wall := time.Since(start)
-	if len(grid) > 0 {
+	if hasGrid {
 		fmt.Printf("%-18s %-6s %6s %-9s %-10s %14s %8s\n", "app", "proto", "block", "notify", "fault", "time", "speedup")
 	} else {
 		fmt.Printf("%-18s %-6s %6s %-9s %14s %8s\n", "app", "proto", "block", "notify", "time", "speedup")
@@ -272,7 +233,7 @@ func runSweep(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan
 		if run.Point.Sequential {
 			continue
 		}
-		if len(grid) > 0 {
+		if hasGrid {
 			fmt.Printf("%-18s %-6s %5dB %-9s %-10s %14v %8.2f\n",
 				run.Point.App, run.Point.Protocol, run.Point.Block, run.Point.Notify,
 				run.Point.Fault, run.Result.Time, res.Speedup(run))
@@ -282,7 +243,7 @@ func runSweep(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan
 				run.Result.Time, res.Speedup(run))
 		}
 	}
-	if fork {
+	if *fork {
 		printForkSummary(res.Fork, wall)
 	}
 }
@@ -302,56 +263,41 @@ func printForkSummary(fs dsmsim.ForkStats, wall time.Duration) {
 }
 
 // runOne executes a single configuration with the full statistics dump.
-func runOne(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan, verify, static bool, trace, traceJS string,
-	sampleEvery dsmsim.Time, sampleCSV, sampleJSON string, prof bool, profCSV string, profTop int,
-	crit bool, critCSV string, critTop int, whatIf *dsmsim.CritScale) {
-	if (sampleCSV != "" || sampleJSON != "") && sampleEvery <= 0 {
+// A what-if scale re-simulates the same configuration after the baseline.
+func runOne(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan, whatIf *dsmsim.CritScale, opts []dsmsim.Option) {
+	if (*sampleCSV != "" || *sampleJSON != "") && *sampleEvery <= 0 {
 		fatal(fmt.Errorf("-sample-csv/-sample-json need -sample-every"))
-	}
-	if whatIf != nil {
-		// The what-if comparison needs the baseline's critical path for
-		// its prediction.
-		crit = true
 	}
 	cfg := dsmsim.Config{
 		Nodes: spec.Nodes, BlockSize: spec.Granularities[0], Protocol: spec.Protocols[0],
-		Notify: spec.Notify[0], StaticHomes: static, SampleEvery: sampleEvery,
+		Notify: spec.Notify[0], StaticHomes: *static,
 	}
-	opts := []dsmsim.Option{dsmsim.WithVerify(verify)}
-	if prof {
-		opts = append(opts, dsmsim.WithShareProfile())
-	}
-	if crit {
-		opts = append(opts, dsmsim.WithCritPath())
-	}
-	if plan != nil {
-		opts = append(opts, dsmsim.WithFaults(plan))
-	}
-	if trace != "" {
-		f, err := os.Create(trace)
+	runOpts := opts
+	if *trace != "" {
+		f, err := os.Create(*trace)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
 		w := bufio.NewWriter(f)
 		defer w.Flush()
-		opts = append(opts, dsmsim.WithTrace(w))
+		runOpts = append(runOpts, dsmsim.WithTrace(w))
 	}
-	if traceJS != "" {
-		f, err := os.Create(traceJS)
+	if *traceJS != "" {
+		f, err := os.Create(*traceJS)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
 		w := bufio.NewWriter(f)
 		defer w.Flush()
-		opts = append(opts, dsmsim.WithTraceJSON(w))
+		runOpts = append(runOpts, dsmsim.WithTraceJSON(w))
 	}
 	workload, err := dsmsim.NewApp(spec.Apps[0], spec.Size)
 	if err != nil {
 		fatal(err)
 	}
-	res, err := dsmsim.Start(ctx, cfg, workload, opts...)
+	res, err := dsmsim.Start(ctx, cfg, workload, runOpts...)
 	if err != nil {
 		fatal(err)
 	}
@@ -398,10 +344,10 @@ func runOne(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan, 
 	printPhases(res)
 	if res.Sharing != nil {
 		var rep strings.Builder
-		res.Sharing.WriteText(&rep, profTop)
+		res.Sharing.WriteText(&rep, *profTop)
 		fmt.Print("  " + strings.ReplaceAll(strings.TrimSuffix(rep.String(), "\n"), "\n", "\n  ") + "\n")
-		if profCSV != "" {
-			f, err := os.Create(profCSV)
+		if *profCSV != "" {
+			f, err := os.Create(*profCSV)
 			if err != nil {
 				fatal(err)
 			}
@@ -416,10 +362,10 @@ func runOne(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan, 
 
 	if res.CritPath != nil {
 		var rep strings.Builder
-		res.CritPath.WriteText(&rep, critTop)
+		res.CritPath.WriteText(&rep, *critTop)
 		fmt.Print("  " + strings.ReplaceAll(strings.TrimSuffix(rep.String(), "\n"), "\n", "\n  ") + "\n")
-		if critCSV != "" {
-			f, err := os.Create(critCSV)
+		if *critCSV != "" {
+			f, err := os.Create(*critCSV)
 			if err != nil {
 				fatal(err)
 			}
@@ -436,11 +382,7 @@ func runOne(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan, 
 		if err != nil {
 			fatal(err)
 		}
-		wopts := []dsmsim.Option{dsmsim.WithVerify(verify), dsmsim.WithWhatIf(whatIf)}
-		if plan != nil {
-			wopts = append(wopts, dsmsim.WithFaults(plan))
-		}
-		wres, err := dsmsim.Start(ctx, cfg, wiApp, wopts...)
+		wres, err := dsmsim.Start(ctx, cfg, wiApp, append(opts, dsmsim.WithWhatIf(whatIf))...)
 		if err != nil {
 			fatal(err)
 		}
@@ -451,13 +393,13 @@ func runOne(ctx context.Context, spec dsmsim.SweepSpec, plan *dsmsim.FaultPlan, 
 		fmt.Printf("    re-simulated    %14v  (%.3fx speedup)\n", wres.Time, ratio(res.Time, wres.Time))
 	}
 
-	if sampleCSV != "" {
-		if err := writeSamples(sampleCSV, res, (*dsmsim.Series).WriteCSV); err != nil {
+	if *sampleCSV != "" {
+		if err := writeSamples(*sampleCSV, res, (*dsmsim.Series).WriteCSV); err != nil {
 			fatal(err)
 		}
 	}
-	if sampleJSON != "" {
-		if err := writeSamples(sampleJSON, res, (*dsmsim.Series).WriteCounterJSON); err != nil {
+	if *sampleJSON != "" {
+		if err := writeSamples(*sampleJSON, res, (*dsmsim.Series).WriteCounterJSON); err != nil {
 			fatal(err)
 		}
 	}

@@ -31,16 +31,14 @@
 // The paper's whole evaluation is a cross-product of configurations; Sweep
 // runs any slice of it over a host-level worker pool with deterministic,
 // byte-identical output at any parallelism (see SweepSpec and the
-// functional options), and Machine.RunContext gives individual runs
-// host-side cancellation.
+// functional options), and Start's context gives individual runs host-side
+// cancellation.
 //
 // All timing is virtual and deterministic: identical configurations
 // produce bit-identical results.
 package dsmsim
 
 import (
-	"context"
-
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 	"dsmsim/internal/critpath"
@@ -193,22 +191,4 @@ func NewApp(name string, size apps.SizeClass) (App, error) {
 		return nil, err
 	}
 	return e.New(size), nil
-}
-
-// RunApp runs a bundled application under cfg with verification.
-//
-// Deprecated: use StartApp with WithVerify(), which also accepts faults,
-// tracing and cancellation. RunApp(cfg, name, size) is exactly
-// StartApp(context.Background(), cfg, name, size, WithVerify()).
-func RunApp(cfg Config, name string, size apps.SizeClass) (*Result, error) {
-	return StartApp(context.Background(), cfg, name, size, WithVerify())
-}
-
-// Run runs a custom App under cfg with verification.
-//
-// Deprecated: use Start with WithVerify(), which also accepts faults,
-// tracing and cancellation. Run(cfg, app) is exactly
-// Start(context.Background(), cfg, app, WithVerify()).
-func Run(cfg Config, app App) (*Result, error) {
-	return Start(context.Background(), cfg, app, WithVerify())
 }

@@ -93,7 +93,7 @@ func ParseFaults(spec string) (*FaultPlan, error) { return faults.Parse(spec) }
 func ParseStragglers(spec string) ([]FaultRule, error) { return faults.ParseStragglers(spec) }
 
 // Typed configuration errors, re-exported from the machine core: every
-// rejection from NewMachine (and therefore Start, Run, RunApp, Sweep)
+// rejection from NewMachine (and therefore Start and Sweep)
 // wraps one of these, so callers branch with errors.Is instead of
 // string-matching.
 var (

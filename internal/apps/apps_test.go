@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,15 @@ import (
 	"dsmsim/internal/network"
 	"dsmsim/internal/sim"
 )
+
+// runVerified runs app on m and checks its final image.
+func runVerified(ctx context.Context, m *core.Machine, app core.App) (*core.Result, error) {
+	res, err := m.Run(ctx, app)
+	if err != nil {
+		return nil, err
+	}
+	return res, core.Verify(app, res)
+}
 
 // runMatrix runs an app at Small size across every protocol × granularity
 // with verification.
@@ -28,7 +38,7 @@ func runMatrix(t *testing.T, name string, nodes int) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := m.RunVerified(entry.New(Small)); err != nil {
+				if _, err := runVerified(context.Background(), m, entry.New(Small)); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -50,7 +60,7 @@ func runOnce(t *testing.T, name, protocol string, g, nodes int) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunVerified(entry.New(Small))
+	res, err := runVerified(context.Background(), m, entry.New(Small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +96,7 @@ func TestLUReadFaultsScaleWithGranularity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunVerified(NewLU(256, 16))
+		res, err := runVerified(context.Background(), m, NewLU(256, 16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +123,7 @@ func TestSequentialBaselines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := m.RunVerified(e.New(Small))
+			res, err := runVerified(context.Background(), m, e.New(Small))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +166,7 @@ func TestInterruptMechanism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RunVerified(entry.New(Small)); err != nil {
+	if _, err := runVerified(context.Background(), m, entry.New(Small)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -230,7 +240,7 @@ func Test32Nodes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.RunVerified(entry.New(Small)); err != nil {
+			if _, err := runVerified(context.Background(), m, entry.New(Small)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -249,7 +259,7 @@ func TestSingleNodeDegenerate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.RunVerified(e.New(Small)); err != nil {
+			if _, err := runVerified(context.Background(), m, e.New(Small)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -273,7 +283,7 @@ func TestAppDeterminism16(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := m.Run(entry.New(Small))
+				res, err := m.Run(context.Background(), entry.New(Small))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -29,7 +30,7 @@ func runLossy(t *testing.T, name, protocol string, g, nodes int, plan *faults.Pl
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunVerified(entry.New(Small))
+	res, err := runVerified(context.Background(), m, entry.New(Small))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"testing"
 
 	"dsmsim/internal/core"
@@ -45,7 +46,7 @@ func TestGoldenLUCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunVerified(NewLU(64, 8))
+		res, err := runVerified(context.Background(), m, NewLU(64, 8))
 		if err != nil {
 			t.Fatalf("%s/%d: %v", g.proto, g.block, err)
 		}

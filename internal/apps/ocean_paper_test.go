@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestOceanPaperSC64(t *testing.T) {
 		t.Skip("paper-size configuration")
 	}
 	m, _ := core.NewMachine(core.Config{Nodes: 16, BlockSize: 64, Protocol: core.SC, Limit: 2000 * sim.Second})
-	res, err := m.Run(NewOcean(514, 10, false)) // 10 iterations: steady state
+	res, err := m.Run(context.Background(), NewOcean(514, 10, false)) // 10 iterations: steady state
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -66,7 +67,7 @@ func TestTaskQueueExactlyOnceWithStealing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.RunVerified(app); err != nil {
+			if _, err := runVerified(context.Background(), m, app); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -90,7 +91,7 @@ func TestTaskQueueOverflowPanics(t *testing.T) {
 		verify: func(h *core.Heap) error { return nil },
 	}
 	m, _ := core.NewMachine(core.Config{Nodes: 2, BlockSize: 4096, Protocol: core.SC, Limit: 10 * sim.Second})
-	if _, err := m.RunVerified(app); err != nil {
+	if _, err := runVerified(context.Background(), m, app); err != nil {
 		t.Fatal(err)
 	}
 }

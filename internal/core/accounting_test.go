@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -43,7 +44,7 @@ func TestTimeBreakdownCoversRuntime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunVerified(app)
+		res, err := runVerified(context.Background(), m, app)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestComputeExtendsWithStolenTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunVerified(app)
+	res, err := runVerified(context.Background(), m, app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestPollingDilationApplied(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunVerified(mk())
+		res, err := runVerified(context.Background(), m, mk())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +169,7 @@ func TestStaticHomesAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunVerified(app)
+		res, err := runVerified(context.Background(), m, app)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -203,7 +204,7 @@ func TestSoftwareAccessCheckCharged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunVerified(mk())
+		res, err := runVerified(context.Background(), m, mk())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +245,7 @@ func TestMemFootprintReported(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunVerified(app)
+		res, err := runVerified(context.Background(), m, app)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +291,7 @@ func TestTraceDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := m.RunVerified(traceTestApp()); err != nil {
+				if _, err := runVerified(context.Background(), m, traceTestApp()); err != nil {
 					t.Fatal(err)
 				}
 				return buf.String()
@@ -326,7 +327,7 @@ func TestTracingDoesNotPerturbTiming(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := m.RunVerified(traceTestApp())
+				res, err := runVerified(context.Background(), m, traceTestApp())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -356,7 +357,7 @@ func TestTraceJSONValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RunVerified(traceTestApp()); err != nil {
+	if _, err := runVerified(context.Background(), m, traceTestApp()); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
@@ -390,7 +391,7 @@ func TestLatencyHistogramsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunVerified(traceTestApp())
+	res, err := runVerified(context.Background(), m, traceTestApp())
 	if err != nil {
 		t.Fatal(err)
 	}

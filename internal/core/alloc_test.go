@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"dsmsim/internal/sim"
@@ -45,13 +46,13 @@ func TestAccessNoFaultZeroAlloc(t *testing.T) {
 				}
 				m, err := NewMachine(Config{
 					Nodes: 1, BlockSize: 1024, Protocol: proto,
-					Limit: 100 * sim.Second,
+					Limit:        100 * sim.Second,
 					ShareProfile: obs.prof, CritPath: obs.critpath,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := m.Run(app); err != nil {
+				if _, err := m.Run(context.Background(), app); err != nil {
 					t.Fatal(err)
 				}
 				if reads != 0 {

@@ -10,7 +10,7 @@ import (
 )
 
 // spinApp computes in many small chunks so the engine dispatches a steady
-// stream of events — exactly the workload RunContext must be able to stop
+// stream of events — exactly the workload Run must be able to stop
 // mid-flight. Rounds controls how long it runs.
 type spinApp struct {
 	rounds int
@@ -37,7 +37,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.RunContext(ctx, &spinApp{rounds: 100}); !errors.Is(err, context.Canceled) {
+	if _, err := m.Run(ctx, &spinApp{rounds: 100}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -55,7 +55,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	start := time.Now()
 	// Effectively unbounded: without cancellation this run takes far longer
 	// than the test timeout.
-	_, err = m.RunContext(ctx, &spinApp{rounds: 50_000_000})
+	_, err = m.Run(ctx, &spinApp{rounds: 50_000_000})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -66,7 +66,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	// The machine holds no per-run state, so the same Machine must run a
 	// fresh simulation to completion afterwards, and the result must match
 	// a run on a brand-new machine bit for bit.
-	res, err := m.RunVerified(&spinApp{rounds: 50})
+	res, err := runVerified(context.Background(), m, &spinApp{rounds: 50})
 	if err != nil {
 		t.Fatalf("machine unusable after cancelled run: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := m2.RunVerified(&spinApp{rounds: 50})
+	res2, err := runVerified(context.Background(), m2, &spinApp{rounds: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,18 +92,18 @@ func TestRunContextObservational(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := m.Run(&spinApp{rounds: 50})
+	plain, err := m.Run(context.Background(), &spinApp{rounds: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctxRes, err := m.RunContext(ctx, &spinApp{rounds: 50})
+	ctxRes, err := m.Run(ctx, &spinApp{rounds: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Time != ctxRes.Time || plain.NetMsgs != ctxRes.NetMsgs || plain.NetBytes != ctxRes.NetBytes {
-		t.Fatalf("RunContext perturbed the run: %v/%d/%d vs %v/%d/%d",
+		t.Fatalf("a cancellable context perturbed the run: %v/%d/%d vs %v/%d/%d",
 			plain.Time, plain.NetMsgs, plain.NetBytes, ctxRes.Time, ctxRes.NetMsgs, ctxRes.NetBytes)
 	}
 }
@@ -116,7 +116,7 @@ func TestConcurrentRunsOneMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := m.Run(&spinApp{rounds: 30})
+	ref, err := m.Run(context.Background(), &spinApp{rounds: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestConcurrentRunsOneMachine(t *testing.T) {
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			res, err := m.Run(&spinApp{rounds: 30})
+			res, err := m.Run(context.Background(), &spinApp{rounds: 30})
 			if err == nil && (res.Time != ref.Time || res.NetMsgs != ref.NetMsgs) {
 				err = errors.New("concurrent run diverged from reference")
 			}

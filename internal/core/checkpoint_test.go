@@ -88,7 +88,7 @@ func TestForkResultMatchesFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 			app := entry.New(apps.Small)
-			flat, err := m.RunVerifiedContext(ctx, app)
+			flat, err := runVerified(ctx, m, app)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestForkWithGatedFaultsMatchesFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 			app := entry.New(apps.Small)
-			flat, err := fm.RunVerifiedContext(ctx, app)
+			flat, err := runVerified(ctx, fm, app)
 			if err != nil {
 				t.Fatal(err)
 			}

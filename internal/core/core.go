@@ -294,8 +294,8 @@ type Result struct {
 
 // Machine is a configured simulated cluster, reusable for multiple runs.
 // A Machine holds no per-run state — every Run builds a fresh simulation —
-// so concurrent Run/RunContext calls on the same Machine are safe; this is
-// what lets the sweep engine fan independent runs out over host cores.
+// so concurrent Run calls on the same Machine are safe; this is what lets
+// the sweep engine fan independent runs out over host cores.
 type Machine struct {
 	cfg Config
 }
@@ -310,17 +310,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 
 // Run executes the application's parallel phase and returns the results.
 // The final shared image is written back into the master heap so that
-// app.Verify can check it.
-func (m *Machine) Run(app App) (*Result, error) {
-	return m.RunContext(context.Background(), app)
-}
-
-// RunContext is Run with host-side cancellation: the simulation checks ctx
-// between virtual-time steps (every few hundred engine events) and, once
-// ctx is cancelled, stops promptly and returns ctx.Err(). A cancelled run
-// leaves the Machine untouched — it holds no per-run state — so the same
-// Machine can immediately start a fresh run.
-func (m *Machine) RunContext(ctx context.Context, app App) (*Result, error) {
+// Verify can check it. The simulation checks ctx between virtual-time
+// steps (every few hundred engine events) and, once ctx is cancelled,
+// stops promptly and returns ctx.Err(). A cancelled run leaves the Machine
+// untouched — it holds no per-run state — so the same Machine can
+// immediately start a fresh run.
+func (m *Machine) Run(ctx context.Context, app App) (*Result, error) {
 	r, err := m.buildRun(ctx, app, nil)
 	if err != nil {
 		return nil, err
@@ -328,7 +323,16 @@ func (m *Machine) RunContext(ctx context.Context, app App) (*Result, error) {
 	return r.finish(r.engine.Run())
 }
 
-// run is one in-flight simulation: everything RunContext wires up before
+// Verify checks a completed run's final shared image against the
+// application's sequential reference.
+func Verify(app App, res *Result) error {
+	if err := app.Verify(res.Heap); err != nil {
+		return fmt.Errorf("core: %s verify: %w", app.Info().Name, err)
+	}
+	return nil
+}
+
+// run is one in-flight simulation: everything Run wires up before
 // the engine loop starts, kept together so checkpoint capture and restore
 // can reach every layer of it.
 type run struct {
@@ -776,24 +780,6 @@ func (r *run) finish(runErr error) (*Result, error) {
 	// recycle their slabs for the next run.
 	for _, sp := range r.env.Spaces {
 		sp.Release()
-	}
-	return res, nil
-}
-
-// RunVerified runs the app and then checks its result.
-func (m *Machine) RunVerified(app App) (*Result, error) {
-	return m.RunVerifiedContext(context.Background(), app)
-}
-
-// RunVerifiedContext is RunVerified with host-side cancellation (see
-// RunContext).
-func (m *Machine) RunVerifiedContext(ctx context.Context, app App) (*Result, error) {
-	res, err := m.RunContext(ctx, app)
-	if err != nil {
-		return nil, err
-	}
-	if err := app.Verify(res.Heap); err != nil {
-		return nil, fmt.Errorf("core: %s verify: %w", app.Info().Name, err)
 	}
 	return res, nil
 }

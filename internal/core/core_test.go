@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -35,6 +36,15 @@ func allConfigs(nodes int) []Config {
 	return out
 }
 
+// runVerified runs app on m and checks its final image.
+func runVerified(ctx context.Context, m *Machine, app App) (*Result, error) {
+	res, err := m.Run(ctx, app)
+	if err != nil {
+		return nil, err
+	}
+	return res, Verify(app, res)
+}
+
 func runAll(t *testing.T, nodes int, app App) {
 	t.Helper()
 	for _, cfg := range allConfigs(nodes) {
@@ -44,7 +54,7 @@ func runAll(t *testing.T, nodes int, app App) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.RunVerified(app); err != nil {
+			if _, err := runVerified(context.Background(), m, app); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -227,7 +237,7 @@ func TestSingleWriterStreamFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := m.Run(mk())
+			res, err := m.Run(context.Background(), mk())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +284,7 @@ func TestSequentialBaselineHasNoFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunVerified(app)
+	res, err := runVerified(context.Background(), m, app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +321,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.Run(mk())
+		res, err := m.Run(context.Background(), mk())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +407,7 @@ func TestRandomRaceFreePrograms(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := m.RunVerified(app); err != nil {
+				if _, err := runVerified(context.Background(), m, app); err != nil {
 					t.Fatalf("%s/%d: %v", cfg.Protocol, cfg.BlockSize, err)
 				}
 			}
@@ -437,7 +447,7 @@ func TestInterruptNotify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.RunVerified(app); err != nil {
+		if _, err := runVerified(context.Background(), m, app); err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
 	}

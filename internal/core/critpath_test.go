@@ -65,7 +65,7 @@ func TestCritPathExactInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := m.RunVerifiedContext(context.Background(), entry.New(apps.Small))
+				res, err := runVerified(context.Background(), m, entry.New(apps.Small))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,7 +98,7 @@ func TestCritPathExactInvariantUnderFaults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := m.RunVerifiedContext(context.Background(), entry.New(apps.Small))
+				res, err := runVerified(context.Background(), m, entry.New(apps.Small))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,11 +125,11 @@ func TestCritPathObservational(t *testing.T) {
 				t.Fatal(err)
 			}
 			app := entry.New(apps.Small)
-			off, err := mustMachine(t, core.Config{Nodes: 8, BlockSize: 1024, Protocol: protocol}).RunVerifiedContext(ctx, app)
+			off, err := runVerified(ctx, mustMachine(t, core.Config{Nodes: 8, BlockSize: 1024, Protocol: protocol}), app)
 			if err != nil {
 				t.Fatal(err)
 			}
-			on, err := mustMachine(t, core.Config{Nodes: 8, BlockSize: 1024, Protocol: protocol, CritPath: true}).RunVerifiedContext(ctx, app)
+			on, err := runVerified(ctx, mustMachine(t, core.Config{Nodes: 8, BlockSize: 1024, Protocol: protocol, CritPath: true}), app)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,6 +139,15 @@ func TestCritPathObservational(t *testing.T) {
 			compareResults(t, off, on)
 		})
 	}
+}
+
+// runVerified runs app on m and checks its final image.
+func runVerified(ctx context.Context, m *core.Machine, app core.App) (*core.Result, error) {
+	res, err := m.Run(ctx, app)
+	if err != nil {
+		return nil, err
+	}
+	return res, core.Verify(app, res)
 }
 
 func mustMachine(t *testing.T, cfg core.Config) *core.Machine {
@@ -166,7 +175,7 @@ func TestCritPathForkMatchesFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 			app := entry.New(apps.Small)
-			flat, err := mustMachine(t, cfg).RunVerifiedContext(ctx, app)
+			flat, err := runVerified(ctx, mustMachine(t, cfg), app)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,12 +254,12 @@ func TestWhatIfPredictionTracksResimulation(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := core.Config{Nodes: 8, BlockSize: 1024, Protocol: core.HLRC, CritPath: true}
-			base, err := mustMachine(t, cfg).RunVerifiedContext(ctx, entry.New(apps.Small))
+			base, err := runVerified(ctx, mustMachine(t, cfg), entry.New(apps.Small))
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.WhatIf = scale
-			resim, err := mustMachine(t, cfg).RunVerifiedContext(ctx, entry.New(apps.Small))
+			resim, err := runVerified(ctx, mustMachine(t, cfg), entry.New(apps.Small))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -65,7 +66,7 @@ func runFaulty(t *testing.T, proto string, block int, plan *faults.Plan) *Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunVerified(app)
+	res, err := runVerified(context.Background(), m, app)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestSequentialIgnoresFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.Run(app)
+		res, err := m.Run(context.Background(), app)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +208,7 @@ func TestCombinedFaultsAcrossGranularities(t *testing.T) {
 		faults.Seed(13))
 	for _, proto := range Protocols {
 		for _, block := range []int{64, 4096} {
-			runFaulty(t, proto, block, plan) // RunVerified fails the test on error
+			runFaulty(t, proto, block, plan) // runVerified fails the test on error
 		}
 	}
 }

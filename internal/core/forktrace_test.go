@@ -74,7 +74,7 @@ func TestForkTraceByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := fm.RunContext(ctx, app); err != nil {
+				if _, err := fm.Run(ctx, app); err != nil {
 					t.Fatal(err)
 				}
 				flatRecs := jsonRecords(t, flatJSON.Bytes())

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestBreakdownSumsExactly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := m.RunVerified(acctApp())
+			res, err := runVerified(context.Background(), m, acctApp())
 			if err != nil {
 				t.Fatalf("%s/%d: %v", p, bs, err)
 			}
@@ -84,7 +85,7 @@ func TestPhaseBreakdown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunVerified(acctApp())
+		res, err := runVerified(context.Background(), m, acctApp())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func TestSamplingDoesNotPerturb(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := m.RunVerified(acctApp())
+				res, err := runVerified(context.Background(), m, acctApp())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -169,7 +170,7 @@ func TestSamplerSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunVerified(acctApp())
+	res, err := runVerified(context.Background(), m, acctApp())
 	if err != nil {
 		t.Fatal(err)
 	}

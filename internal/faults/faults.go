@@ -547,6 +547,30 @@ func ParseStragglers(spec string) ([]Rule, error) {
 	return rules, nil
 }
 
+// Build assembles a plan from the CLI pieces: a Parse spec, a
+// ParseStragglers spec, a seed override (0 keeps the spec's seed) and a
+// start-barrier gate (0 leaves the plan ungated).
+func Build(spec, stragglers string, seed uint64, start int) (*Plan, error) {
+	plan, err := Parse(spec)
+	if err != nil {
+		return nil, err
+	}
+	if stragglers != "" {
+		rules, err := ParseStragglers(stragglers)
+		if err != nil {
+			return nil, err
+		}
+		plan.Add(rules...)
+	}
+	if seed != 0 {
+		plan.Add(Seed(seed))
+	}
+	if start > 0 {
+		plan.Add(StartAtBarrier(start))
+	}
+	return plan, nil
+}
+
 func parsePair(s, sep string) (int, int, error) {
 	aS, bS, ok := strings.Cut(s, sep)
 	if !ok {

@@ -135,7 +135,7 @@ func (r *Runner) ScalingTable() error {
 				return err
 			}
 			res, err := r.runConfig(core.Config{
-				Nodes: n, BlockSize: 4096, Protocol: core.HLRC, Limit: r.opts.Limit,
+				Nodes: n, BlockSize: 4096, Protocol: core.HLRC, Limit: r.opts.Config.Limit,
 			}, entry)
 			if err != nil {
 				return err
@@ -341,7 +341,7 @@ func (r *Runner) SoftwareTable() error {
 		for _, g := range []int{64, 4096} {
 			res, err := r.runConfig(core.Config{
 				Nodes: r.opts.Nodes, BlockSize: g, Protocol: core.SC,
-				SoftwareAccessCheck: check, Limit: r.opts.Limit,
+				SoftwareAccessCheck: check, Limit: r.opts.Config.Limit,
 			}, entry)
 			if err != nil {
 				return err
@@ -375,7 +375,7 @@ func (r *Runner) SharingTable() error {
 		for _, g := range core.Granularities {
 			res, err := r.runConfig(core.Config{
 				Nodes: r.opts.Nodes, BlockSize: g, Protocol: core.HLRC,
-				Limit: r.opts.Limit, ShareProfile: true,
+				Limit: r.opts.Config.Limit, ShareProfile: true,
 			}, entry)
 			if err != nil {
 				return err
@@ -410,7 +410,7 @@ func (r *Runner) CritPathTable() error {
 		return err
 	}
 	r.printf("Critical-path composition, %s on %d nodes (%% of path length)\n", app, r.opts.Nodes)
-	if s := r.opts.WhatIf; s != nil {
+	if s := r.opts.Config.WhatIf; s != nil {
 		r.printf("(what-if machine: %v)\n", s)
 	}
 	r.printf("%-6s %6s %14s %8s %8s %8s %8s %8s %8s\n",
@@ -419,7 +419,7 @@ func (r *Runner) CritPathTable() error {
 		for _, g := range core.Granularities {
 			res, err := r.runConfig(core.Config{
 				Nodes: r.opts.Nodes, BlockSize: g, Protocol: p,
-				Limit: r.opts.Limit, CritPath: true, WhatIf: r.opts.WhatIf,
+				Limit: r.opts.Config.Limit, CritPath: true, WhatIf: r.opts.Config.WhatIf,
 			}, entry)
 			if err != nil {
 				return err
@@ -461,7 +461,7 @@ func (r *Runner) DegradationTable() error {
 		var lossless sim.Time
 		for _, rate := range rates {
 			cfg := core.Config{
-				Nodes: r.opts.Nodes, BlockSize: block, Protocol: p, Limit: r.opts.Limit,
+				Nodes: r.opts.Nodes, BlockSize: block, Protocol: p, Limit: r.opts.Config.Limit,
 			}
 			if rate > 0 {
 				cfg.Faults = faults.NewPlan(faults.Drop(rate), faults.Seed(1))

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"math"
 	"strconv"
@@ -10,13 +11,15 @@ import (
 	"testing"
 
 	"dsmsim/internal/apps"
+	"dsmsim/internal/core"
 	"dsmsim/internal/network"
+	"dsmsim/internal/sweep"
 )
 
 func testRunner(t *testing.T) (*Runner, *bytes.Buffer) {
 	t.Helper()
 	var out bytes.Buffer
-	return New(Options{Size: apps.Small, Nodes: 4, Out: &out}), &out
+	return New(Options{Options: sweep.Options{Size: apps.Small}, Nodes: 4, Out: &out}), &out
 }
 
 func TestHarmonicMean(t *testing.T) {
@@ -242,7 +245,7 @@ func TestFig1Table2Table15Small(t *testing.T) {
 func TestPrefetchParallelDeterminism(t *testing.T) {
 	render := func(parallel int) (table, progress, csv string) {
 		var tb, pb, cb bytes.Buffer
-		r := New(Options{Size: apps.Small, Nodes: 4, Out: &tb, Progress: &pb, CSV: &cb, Parallel: parallel})
+		r := New(Options{Options: sweep.Options{Size: apps.Small, Progress: &pb, CSV: &cb, Workers: parallel}, Nodes: 4, Out: &tb})
 		e, err := Get("table3") // lu fault table: 3 protocols × 4 granularities
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +280,7 @@ func TestPrefetchParallelDeterminism(t *testing.T) {
 // add no new run lines for matrix experiments.
 func TestPointsForCoversExperiments(t *testing.T) {
 	var pb bytes.Buffer
-	r := New(Options{Size: apps.Small, Nodes: 4, Out: io.Discard, Progress: &pb, Parallel: 4})
+	r := New(Options{Options: sweep.Options{Size: apps.Small, Progress: &pb, Workers: 4}, Nodes: 4, Out: io.Discard})
 	for _, name := range []string{"table1", "table15", "fig2"} {
 		e, err := Get(name)
 		if err != nil {
@@ -299,8 +302,8 @@ func TestPointsForCoversExperiments(t *testing.T) {
 }
 
 func TestLabelPaperVsSmall(t *testing.T) {
-	small := New(Options{Size: apps.Small, Nodes: 4, Out: io.Discard})
-	paper := New(Options{Size: apps.Paper, Nodes: 4, Out: io.Discard})
+	small := New(Options{Options: sweep.Options{Size: apps.Small}, Nodes: 4, Out: io.Discard})
+	paper := New(Options{Options: sweep.Options{Size: apps.Paper}, Nodes: 4, Out: io.Discard})
 	if small.label("lu") == paper.label("lu") {
 		t.Fatal("labels must differ by size class")
 	}
@@ -311,7 +314,7 @@ func TestLabelPaperVsSmall(t *testing.T) {
 
 func TestCSVOutput(t *testing.T) {
 	var csv bytes.Buffer
-	r := New(Options{Size: apps.Small, Nodes: 4, Out: io.Discard, CSV: &csv})
+	r := New(Options{Options: sweep.Options{Size: apps.Small, CSV: &csv}, Nodes: 4, Out: io.Discard})
 	if _, err := r.Result("lu", "hlrc", 4096, network.Polling); err != nil {
 		t.Fatal(err)
 	}
@@ -328,5 +331,34 @@ func TestCSVOutput(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "lu,hlrc,4096,polling,4,") {
 		t.Fatalf("bad record: %s", lines[1])
+	}
+}
+
+// badApp completes a run but always fails verification, so a run's error
+// shows whether the runner verified it.
+type badApp struct{}
+
+func (badApp) Info() core.AppInfo        { return core.AppInfo{Name: "bad", HeapBytes: 4096} }
+func (badApp) Setup(h *core.Heap)        {}
+func (badApp) Run(c *core.Ctx)           {}
+func (badApp) Verify(h *core.Heap) error { return errors.New("wrong image") }
+
+// TestVerifyPolicy: the runner verifies when Options.Verify is set or the
+// size is Small, resolved once in New for the sweep engine (which honours
+// it exactly) and the out-of-matrix runs alike.
+func TestVerifyPolicy(t *testing.T) {
+	bad := apps.Entry{Name: "bad", New: func(apps.SizeClass) core.App { return badApp{} }}
+	cfg := core.Config{Nodes: 2, BlockSize: 64, Protocol: core.SC}
+	for _, size := range []apps.SizeClass{apps.Small, apps.Paper} {
+		for _, verify := range []bool{false, true} {
+			r := New(Options{Options: sweep.Options{Size: size, Verify: verify}, Out: io.Discard})
+			want := verify || size == apps.Small
+			if r.opts.Verify != want {
+				t.Errorf("size=%v verify=%v: engine verify = %v, want %v", size, verify, r.opts.Verify, want)
+			}
+			if _, err := r.runConfig(cfg, bad); (err != nil) != want {
+				t.Errorf("size=%v verify=%v: out-of-matrix run err = %v", size, verify, err)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"dsmsim/internal/apps"
@@ -19,7 +20,7 @@ func runApp(t *testing.T, app core.App, proto string, block, nodes int, notify n
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(app)
+	res, err := m.Run(context.Background(), app)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sc_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -16,7 +17,7 @@ func runDC(t *testing.T, nodes, block int, script func(c *core.Ctx)) *core.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunVerified(&scriptApp{heap: 64 * 1024, script: script})
+	res, err := runVerified(context.Background(), m, &scriptApp{heap: 64 * 1024, script: script})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestDCReducesPingPong(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.Run(&scriptApp{heap: 64 * 1024, script: script})
+		res, err := m.Run(context.Background(), &scriptApp{heap: 64 * 1024, script: script})
 		if err != nil {
 			t.Fatal(err)
 		}

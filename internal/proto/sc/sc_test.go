@@ -1,12 +1,22 @@
 package sc_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"dsmsim/internal/core"
 	"dsmsim/internal/sim"
 )
+
+// runVerified runs app on m and checks its final image.
+func runVerified(ctx context.Context, m *core.Machine, app core.App) (*core.Result, error) {
+	res, err := m.Run(ctx, app)
+	if err != nil {
+		return nil, err
+	}
+	return res, core.Verify(app, res)
+}
 
 // scriptApp runs per-node scripts against a small shared heap.
 type scriptApp struct {
@@ -35,7 +45,7 @@ func run(t *testing.T, nodes int, script func(c *core.Ctx)) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunVerified(&scriptApp{heap: 64 * 1024, script: script})
+	res, err := runVerified(context.Background(), m, &scriptApp{heap: 64 * 1024, script: script})
 	if err != nil {
 		t.Fatal(err)
 	}

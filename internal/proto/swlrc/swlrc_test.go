@@ -1,12 +1,22 @@
 package swlrc_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"dsmsim/internal/core"
 	"dsmsim/internal/sim"
 )
+
+// runVerified runs app on m and checks its final image.
+func runVerified(ctx context.Context, m *core.Machine, app core.App) (*core.Result, error) {
+	res, err := m.Run(ctx, app)
+	if err != nil {
+		return nil, err
+	}
+	return res, core.Verify(app, res)
+}
 
 type scriptApp struct {
 	heap   int
@@ -26,7 +36,7 @@ func run(t *testing.T, nodes, block int, script func(c *core.Ctx)) *core.Result 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunVerified(&scriptApp{heap: 64 * 1024, script: script})
+	res, err := runVerified(context.Background(), m, &scriptApp{heap: 64 * 1024, script: script})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package tlc_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -9,6 +10,15 @@ import (
 	"dsmsim/internal/faults"
 	"dsmsim/internal/sim"
 )
+
+// runVerified runs app on m and checks its final image.
+func runVerified(ctx context.Context, m *core.Machine, app core.App) (*core.Result, error) {
+	res, err := m.Run(ctx, app)
+	if err != nil {
+		return nil, err
+	}
+	return res, core.Verify(app, res)
+}
 
 func run(t *testing.T, name string, g, nodes int, plan *faults.Plan) *core.Result {
 	t.Helper()
@@ -23,7 +33,7 @@ func run(t *testing.T, name string, g, nodes int, plan *faults.Plan) *core.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunVerified(entry.New(apps.Small))
+	res, err := runVerified(context.Background(), m, entry.New(apps.Small))
 	if err != nil {
 		t.Fatal(err)
 	}

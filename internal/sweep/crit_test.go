@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dsmsim/internal/apps"
+	"dsmsim/internal/core"
 	"dsmsim/internal/critpath"
 )
 
@@ -18,8 +19,8 @@ func runCritSweep(t *testing.T, workers int, fork bool) (csv, crits string, eng 
 	var cb, xb bytes.Buffer
 	grid := testGrid()
 	eng = New(Options{
-		Size: apps.Small, Workers: workers, CSV: &cb,
-		CritPath: true, CritCSV: &xb,
+		Size: apps.Small, Workers: workers, Verify: true, CSV: &cb,
+		Config: core.Config{CritPath: true}, CritCSV: &xb,
 		FaultGrid: grid, Fork: fork,
 	})
 	if _, err := eng.Run(context.Background(), gridSpec(grid).Points()); err != nil {

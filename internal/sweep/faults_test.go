@@ -13,7 +13,7 @@ import (
 )
 
 // faultSpec is a lossy slice of the matrix: both granularity extremes under
-// every protocol, all verified (Small size always verifies).
+// every protocol, all verified.
 func faultSpec() Spec {
 	return Spec{
 		Apps:          []string{"lu"},
@@ -31,8 +31,8 @@ func TestFaultSweepParallelDeterminism(t *testing.T) {
 	run := func(workers int) (string, string, []*core.Result) {
 		var pb, cb bytes.Buffer
 		e := New(Options{
-			Size: apps.Small, Workers: workers, Progress: &pb, CSV: &cb,
-			Faults: faults.NewPlan(faults.Drop(0.01), faults.Seed(1)),
+			Size: apps.Small, Workers: workers, Verify: true, Progress: &pb, CSV: &cb,
+			Config: core.Config{Faults: faults.NewPlan(faults.Drop(0.01), faults.Seed(1))},
 		})
 		res, err := e.Run(context.Background(), faultSpec().Points())
 		if err != nil {
@@ -70,8 +70,8 @@ func TestFaultSweepParallelDeterminism(t *testing.T) {
 // on the healthy machine, so speedup denominators stay comparable.
 func TestFaultSweepSkipsSequentialBaselines(t *testing.T) {
 	var pb bytes.Buffer
-	e := New(Options{Size: apps.Small, Workers: 1, Progress: &pb,
-		Faults: faults.NewPlan(faults.Drop(0.3), faults.Seed(1))})
+	e := New(Options{Size: apps.Small, Workers: 1, Verify: true, Progress: &pb,
+		Config: core.Config{Faults: faults.NewPlan(faults.Drop(0.3), faults.Seed(1))}})
 	res, err := e.Run(context.Background(), []Key{Seq("lu")})
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,11 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
-	"context"
-
-	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
 	"dsmsim/internal/faults"
 )
@@ -24,7 +22,7 @@ type FaultVariant struct {
 // when the point carries a Fault name, the sweep-wide plan otherwise.
 func (e *Engine) planFor(k Key) (*faults.Plan, error) {
 	if k.Fault == "" || k.Sequential {
-		return e.opts.Faults, nil
+		return e.opts.Config.Faults, nil
 	}
 	for _, v := range e.opts.FaultGrid {
 		if v.Name == k.Fault {
@@ -42,7 +40,7 @@ func (e *Engine) planFor(k Key) (*faults.Plan, error) {
 // is off or cannot help: fewer than two forkable variants, an engine-wide
 // sharing profiler (checkpoints don't carry it), or no gated plan at all.
 func (e *Engine) forkEpoch() int {
-	if !e.opts.Fork || len(e.opts.FaultGrid) < 2 || e.opts.ShareProfile {
+	if !e.opts.Fork || len(e.opts.FaultGrid) < 2 || e.opts.Config.ShareProfile {
 		return 0
 	}
 	epoch, forkable := 0, 0
@@ -86,29 +84,43 @@ type cpKey struct {
 	Epoch int
 }
 
+// prefix is one shared warmup prefix: its checkpoint, the host time the
+// leader spent simulating it, and how many runs were forked from it.
+type prefix struct {
+	cp    *core.Checkpoint
+	wall  time.Duration
+	forks atomic.Int64
+}
+
 // computeForked runs one grid point through the shared-prefix path: obtain
 // (or join the single computation of) the group's fault-free prefix
 // checkpoint, then fork it under the point's own fault plan. The result is
 // byte-identical to the flat run of the same configuration — that is the
 // checkpoint machinery's contract, enforced by the core equivalence tests
-// and the golden sweep tests.
-func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app core.App, epoch int, verify bool) (*core.Result, error) {
-	prefix := k
-	prefix.Fault = ""
-	cp, err := e.cps.Do(cpKey{Key: prefix, Epoch: epoch}, func() (*core.Checkpoint, error) {
+// and the golden sweep tests. Prefixes are retained for the engine's
+// lifetime, like results — a later sweep over the same grid reuses them.
+func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app core.App, epoch int) (*core.Result, error) {
+	key := cpKey{Key: k, Epoch: epoch}
+	key.Fault = ""
+	p, err, _ := e.cps.Do(key, func() (*prefix, error) {
 		pcfg := cfg
 		pcfg.Faults = nil
 		m, err := core.NewMachine(pcfg)
 		if err != nil {
 			return nil, err
 		}
-		entry, err := apps.Get(k.App)
+		entry, err := e.apps(k.App)
 		if err != nil {
 			return nil, err
 		}
 		// A fresh app instance: Setup mutates the app, and the prefix can
 		// run concurrently with flat-path runs holding the caller's.
-		return m.RunToBarrier(ctx, entry.New(e.opts.Size), epoch)
+		start := time.Now()
+		cp, err := m.RunToBarrier(ctx, entry.New(e.opts.Size), epoch)
+		if err != nil {
+			return nil, err
+		}
+		return &prefix{cp: cp, wall: time.Since(start)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -117,79 +129,12 @@ func (e *Engine) computeForked(ctx context.Context, k Key, cfg core.Config, app 
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.RunFromCheckpoint(ctx, cp, app)
+	res, err := m.RunFromCheckpoint(ctx, p.cp, app)
 	if err != nil {
 		return nil, err
 	}
-	e.cps.addFork(cpKey{Key: prefix, Epoch: epoch})
-	if verify {
-		if err := app.Verify(res.Heap); err != nil {
-			return nil, fmt.Errorf("sweep: %s verify: %w", k, err)
-		}
-	}
-	return res, nil
-}
-
-// cpMemo is the checkpoint analog of Memo: a single-flight cache of shared
-// warmup prefixes keyed by (prefix point, cut epoch). Checkpoints are
-// retained for the engine's lifetime, like results — a later sweep over the
-// same grid reuses them. Failure handling matches Memo: a failed leader's
-// entry is forgotten and waiting followers retry with their own computation,
-// so one cancelled sweep cannot poison another's prefixes.
-type cpMemo struct {
-	mu sync.Mutex
-	m  map[cpKey]*cpEntry
-}
-
-type cpEntry struct {
-	done chan struct{}
-	cp   *core.Checkpoint
-	err  error
-
-	wall  time.Duration // host time the leader spent simulating the prefix
-	forks int           // runs served from this checkpoint (guarded by cpMemo.mu)
-}
-
-// Do returns the memoized checkpoint for k, computing it with compute if
-// needed.
-func (m *cpMemo) Do(k cpKey, compute func() (*core.Checkpoint, error)) (*core.Checkpoint, error) {
-	for {
-		m.mu.Lock()
-		if m.m == nil {
-			m.m = map[cpKey]*cpEntry{}
-		}
-		if e, ok := m.m[k]; ok {
-			m.mu.Unlock()
-			<-e.done
-			if e.err == nil {
-				return e.cp, nil
-			}
-			continue // leader failed; its entry is gone — retry ourselves
-		}
-		e := &cpEntry{done: make(chan struct{})}
-		m.m[k] = e
-		m.mu.Unlock()
-
-		start := time.Now()
-		e.cp, e.err = compute()
-		e.wall = time.Since(start)
-		if e.err != nil {
-			m.mu.Lock()
-			delete(m.m, k)
-			m.mu.Unlock()
-		}
-		close(e.done)
-		return e.cp, e.err
-	}
-}
-
-// addFork records that one run was served from checkpoint k.
-func (m *cpMemo) addFork(k cpKey) {
-	m.mu.Lock()
-	if e, ok := m.m[k]; ok {
-		e.forks++
-	}
-	m.mu.Unlock()
+	p.forks.Add(1)
+	return e.verified(app, res)
 }
 
 // ForkStats summarizes what prefix sharing bought one engine: how many
@@ -204,15 +149,14 @@ type ForkStats struct {
 
 // ForkStats reports the engine's prefix-sharing counters so far.
 func (e *Engine) ForkStats() ForkStats {
-	e.cps.mu.Lock()
-	defer e.cps.mu.Unlock()
 	var s ForkStats
-	for _, ent := range e.cps.m {
+	e.cps.each(func(p *prefix) {
+		forks := int(p.forks.Load())
 		s.Prefixes++
-		s.ForkedRuns += ent.forks
-		if ent.forks > 1 {
-			s.SavedWall += ent.wall * time.Duration(ent.forks-1)
+		s.ForkedRuns += forks
+		if forks > 1 {
+			s.SavedWall += p.wall * time.Duration(forks-1)
 		}
-	}
+	})
 	return s
 }

@@ -43,7 +43,7 @@ func gridSpec(grid []FaultVariant) Spec {
 		Notifies:      []network.Notify{network.Polling},
 		Nodes:         4,
 		Baselines:     true,
-		Faults:        names,
+		Variants:      names,
 	}
 }
 
@@ -53,8 +53,8 @@ func runGridSweep(t *testing.T, workers int, fork bool) (progress, csv, samples 
 	var pb, cb, sb bytes.Buffer
 	grid := testGrid()
 	eng = New(Options{
-		Size: apps.Small, Workers: workers, Progress: &pb, CSV: &cb,
-		SampleEvery: 200 * sim.Microsecond, SampleCSV: &sb,
+		Size: apps.Small, Workers: workers, Verify: true, Progress: &pb, CSV: &cb,
+		Config: core.Config{SampleEvery: 200 * sim.Microsecond}, SampleCSV: &sb,
 		FaultGrid: grid, Fork: fork,
 	})
 	res, err := eng.Run(context.Background(), gridSpec(grid).Points())
@@ -118,11 +118,11 @@ func TestForkFallbackAppTooShort(t *testing.T) {
 		Granularities: []int{4096},
 		Notifies:      []network.Notify{network.Polling},
 		Nodes:         4,
-		Faults:        []string{"none", "lossy"},
+		Variants:      []string{"none", "lossy"},
 	}
 	run := func(fork bool) (string, *Engine) {
 		var cb bytes.Buffer
-		e := New(Options{Size: apps.Small, Workers: 4, CSV: &cb, FaultGrid: grid, Fork: fork})
+		e := New(Options{Size: apps.Small, Workers: 4, Verify: true, CSV: &cb, FaultGrid: grid, Fork: fork})
 		if _, err := e.Run(context.Background(), spec.Points()); err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestForkEligibility(t *testing.T) {
 	gated := faults.NewPlan(faults.Drop(0.01), faults.StartAtBarrier(4))
 	ungated := faults.NewPlan(faults.Drop(0.01))
 	newEng := func(grid []FaultVariant, fork bool, prof bool) *Engine {
-		return New(Options{Size: apps.Small, FaultGrid: grid, Fork: fork, ShareProfile: prof})
+		return New(Options{Size: apps.Small, FaultGrid: grid, Fork: fork, Config: core.Config{ShareProfile: prof}})
 	}
 
 	if e := newEng(testGrid(), true, false); e.forkEpoch() != 4 {
@@ -202,7 +202,7 @@ func TestSpecPointsFaultGridOrder(t *testing.T) {
 		Granularities: []int{64, 256},
 		Notifies:      []network.Notify{network.Polling},
 		Nodes:         4,
-		Faults:        []string{"none", "lossy"},
+		Variants:      []string{"none", "lossy"},
 	}
 	want := []Key{
 		{App: "lu", Protocol: "sc", Block: 64, Notify: network.Polling, Nodes: 4, Fault: "none"},
@@ -218,10 +218,19 @@ func TestSpecPointsFaultGridOrder(t *testing.T) {
 // TestMemoCanceledLeaderDoesNotPoisonFollowers: a follower that joined an
 // in-flight computation whose leader fails (a cancelled sweep) must not
 // inherit the failure — it retries with its own compute function, and its
-// success is cached.
+// success is cached. Both memo instances the engine keeps are driven: run
+// results and shared warmup prefixes.
 func TestMemoCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
-	m := NewMemo()
-	k := Key{App: "x"}
+	t.Run("results", func(t *testing.T) {
+		canceledLeader(t, NewMemo[Key, *core.Result](), Key{App: "x"}, &core.Result{App: "x"})
+	})
+	t.Run("prefixes", func(t *testing.T) {
+		canceledLeader(t, NewMemo[cpKey, *prefix](), cpKey{Key: Key{App: "x"}, Epoch: 4}, &prefix{})
+	})
+}
+
+func canceledLeader[K comparable, V comparable](t *testing.T, m *Memo[K, V], k K, want V) {
+	t.Helper()
 	leaderStarted := make(chan struct{})
 	release := make(chan struct{})
 
@@ -229,10 +238,11 @@ func TestMemoCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err, fresh := m.Do(k, func() (*core.Result, error) {
+		_, err, fresh := m.Do(k, func() (V, error) {
 			close(leaderStarted)
 			<-release
-			return nil, context.Canceled
+			var zero V
+			return zero, context.Canceled
 		})
 		if !fresh || !errors.Is(err, context.Canceled) {
 			t.Errorf("leader: err=%v fresh=%v, want canceled+fresh", err, fresh)
@@ -240,11 +250,10 @@ func TestMemoCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	}()
 	<-leaderStarted
 
-	want := &core.Result{App: "x"}
 	followerDone := make(chan struct{})
 	go func() {
 		defer close(followerDone)
-		res, err, fresh := m.Do(k, func() (*core.Result, error) { return want, nil })
+		res, err, fresh := m.Do(k, func() (V, error) { return want, nil })
 		if err != nil || res != want || !fresh {
 			t.Errorf("follower: res=%v err=%v fresh=%v, want its own fresh success", res, err, fresh)
 		}
@@ -260,9 +269,10 @@ func TestMemoCanceledLeaderDoesNotPoisonFollowers(t *testing.T) {
 	wg.Wait()
 
 	// The follower's successful retry must now be cached.
-	res, err, fresh := m.Do(k, func() (*core.Result, error) {
+	res, err, fresh := m.Do(k, func() (V, error) {
 		t.Error("cached success recomputed")
-		return nil, nil
+		var zero V
+		return zero, nil
 	})
 	if err != nil || res != want || fresh {
 		t.Fatalf("post-retry lookup: res=%v err=%v fresh=%v, want cached %v", res, err, fresh, want)

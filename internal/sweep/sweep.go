@@ -26,8 +26,6 @@ import (
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
-	"dsmsim/internal/critpath"
-	"dsmsim/internal/faults"
 	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
 	"dsmsim/internal/sim"
@@ -83,10 +81,10 @@ type Spec struct {
 	// Baselines additionally schedules each app's sequential baseline
 	// (before the app's matrix points, so speedups can be derived).
 	Baselines bool
-	// Faults lists fault-grid variant names (Options.FaultGrid): each
+	// Variants lists fault-grid variant names (Options.FaultGrid): each
 	// matrix point expands into one run per variant, innermost, so a
 	// prefix group's points are adjacent in canonical order.
-	Faults []string
+	Variants []string
 }
 
 // Points expands the spec in canonical sweep order: for each app (baseline
@@ -103,11 +101,11 @@ func (s Spec) Points() []Key {
 			for _, g := range s.Granularities {
 				for _, n := range s.Notifies {
 					k := Key{App: app, Protocol: p, Block: g, Notify: n, Nodes: s.Nodes}
-					if len(s.Faults) == 0 {
+					if len(s.Variants) == 0 {
 						pts = append(pts, k)
 						continue
 					}
-					for _, f := range s.Faults {
+					for _, f := range s.Variants {
 						k.Fault = f
 						pts = append(pts, k)
 					}
@@ -139,10 +137,16 @@ type Options struct {
 	// Workers bounds host parallelism; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// Verify re-checks every run's numeric result against the sequential
-	// reference. Always on at Small size.
+	// reference.
 	Verify bool
-	// Limit bounds each run's virtual time (0 = a generous default).
-	Limit sim.Time
+	// Config is the template every run starts from: its run settings
+	// (Limit, Faults, SampleEvery, ShareProfile, CritPath, WhatIf, ...)
+	// apply to every point, and each point stamps its own shape (nodes,
+	// block size, protocol, notification) over it. A zero Limit means a
+	// generous default. Sequential baselines measure the healthy machine:
+	// the fault plan is cleared for them, and core ignores the profilers
+	// and the what-if scale there.
+	Config core.Config
 	// Progress, if non-nil, receives one line per completed run.
 	Progress io.Writer
 	// CSV, if non-nil, receives one machine-readable record per completed
@@ -151,52 +155,29 @@ type Options struct {
 	CSV io.Writer
 	// Histograms adds a latency-distribution line after each run record.
 	Histograms bool
-	// SampleEvery attaches the virtual-time metrics sampler to every run
-	// (strictly observational; results are unchanged).
-	SampleEvery sim.Time
 	// SampleCSV, if non-nil, receives each run's sampler series as CSV
 	// rows prefixed with the run-key columns, in canonical sweep order —
 	// like every other sink output, byte-identical at any parallelism.
-	// Requires SampleEvery.
+	// Requires Config.SampleEvery.
 	SampleCSV io.Writer
-	// ShareProfile attaches the sharing-pattern profiler to every
-	// non-sequential run: Result.Sharing carries the per-region taxonomy
-	// and true/false-sharing attribution. Observational — every other
-	// output stays byte-identical.
-	ShareProfile bool
 	// ProfCSV, if non-nil, receives each run's sharing profile as CSV
 	// rows (one per region plus a total) prefixed with the run-key
 	// columns, in canonical sweep order — byte-identical at any
-	// parallelism. Requires ShareProfile.
+	// parallelism. Requires Config.ShareProfile.
 	ProfCSV io.Writer
-	// CritPath attaches the critical-path profiler to every
-	// non-sequential run: Result.CritPath carries the exact critical
-	// path's component/node/region breakdown. Observational — every
-	// other output stays byte-identical.
-	CritPath bool
 	// CritCSV, if non-nil, receives each run's critical-path row
 	// prefixed with the run-key columns, in canonical sweep order —
-	// byte-identical at any parallelism. Requires CritPath.
+	// byte-identical at any parallelism. Requires Config.CritPath.
 	CritCSV io.Writer
-	// WhatIf, when non-nil, re-simulates every non-sequential run with
-	// one cost class rescaled (the causal what-if experiment). Unlike
-	// CritPath this changes results — route the output to a separate
-	// file when comparing against a baseline sweep.
-	WhatIf *critpath.Scale
 	// Metrics, if non-nil, receives live progress (point started/done,
 	// wall-clock runtimes) for the HTTP exporter, and switches the
 	// progress lines to the enriched format with a completion counter.
 	// Wall-clock data never reaches the deterministic outputs.
 	Metrics *metrics.Registry
-	// Faults applies a deterministic fault plan to every non-sequential
-	// run of the sweep. Each run compiles its own injector from the plan's
-	// seed, so runs stay independent and the sweep remains byte-identical
-	// at any parallelism.
-	Faults *faults.Plan
 	// FaultGrid holds the named fault variants grid points select with
 	// Key.Fault. When a point carries a Fault name, its variant's plan
-	// replaces Faults for that run. With a grid attached, the CSV, sample
-	// and profile sinks gain a fault column.
+	// replaces Config.Faults for that run. With a grid attached, the CSV,
+	// sample and profile sinks gain a fault column.
 	FaultGrid []FaultVariant
 	// Fork shares warmup prefixes across fault-grid points: each group of
 	// points differing only in Fault runs its pre-fault prefix once (to a
@@ -212,8 +193,9 @@ type Options struct {
 // experiments) never repeats a run and never interleaves output.
 type Engine struct {
 	opts Options
-	memo *Memo
-	cps  *cpMemo
+	apps func(name string) (apps.Entry, error) // apps.Get; tests substitute fakes
+	memo *Memo[Key, *core.Result]
+	cps  *Memo[cpKey, *prefix]
 	sink *Sink
 }
 
@@ -222,13 +204,14 @@ func New(opts Options) *Engine {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Limit == 0 {
-		opts.Limit = 100000 * sim.Second
+	if opts.Config.Limit == 0 {
+		opts.Config.Limit = 100000 * sim.Second
 	}
 	return &Engine{
 		opts: opts,
-		memo: NewMemo(),
-		cps:  &cpMemo{},
+		apps: apps.Get,
+		memo: NewMemo[Key, *core.Result](),
+		cps:  NewMemo[cpKey, *prefix](),
 		sink: NewSink(opts.Progress, opts.CSV, opts.Histograms,
 			opts.SampleCSV, opts.ProfCSV, opts.CritCSV, opts.Metrics != nil,
 			len(opts.FaultGrid) > 0),
@@ -391,7 +374,7 @@ feed:
 // compute executes one run, through a shared-prefix fork when the point is
 // eligible and through the ordinary flat path otherwise.
 func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
-	entry, err := apps.Get(k.App)
+	entry, err := e.apps(k.App)
 	if err != nil {
 		return nil, err
 	}
@@ -399,24 +382,23 @@ func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{Limit: e.opts.Limit, SampleEvery: e.opts.SampleEvery}
+	cfg := e.opts.Config
 	if k.Sequential {
 		cfg.Sequential = true
 		cfg.BlockSize = 4096
+		// Baselines ignore the plan, and Config.Validate would check its
+		// node ids against Nodes=1.
+		cfg.Faults = nil
 	} else {
 		cfg.Nodes = k.Nodes
 		cfg.BlockSize = k.Block
 		cfg.Protocol = k.Protocol
 		cfg.Notify = k.Notify
 		cfg.Faults = plan
-		cfg.ShareProfile = e.opts.ShareProfile
-		cfg.CritPath = e.opts.CritPath
-		cfg.WhatIf = e.opts.WhatIf
 	}
 	app := entry.New(e.opts.Size)
-	verify := e.opts.Verify || e.opts.Size == apps.Small
 	if epoch := e.forkEpoch(); epoch > 0 && e.forkable(k, app, plan, epoch) {
-		res, err := e.computeForked(ctx, k, cfg, app, epoch, verify)
+		res, err := e.computeForked(ctx, k, cfg, app, epoch)
 		if err == nil || ctx.Err() != nil {
 			return res, err
 		}
@@ -429,8 +411,19 @@ func (e *Engine) compute(ctx context.Context, k Key) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if verify {
-		return m.RunVerifiedContext(ctx, app)
+	res, err := m.Run(ctx, app)
+	if err != nil {
+		return nil, err
 	}
-	return m.RunContext(ctx, app)
+	return e.verified(app, res)
+}
+
+// verified applies the engine's verify policy to a completed run.
+func (e *Engine) verified(app core.App, res *core.Result) (*core.Result, error) {
+	if e.opts.Verify {
+		if err := core.Verify(app, res); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }

@@ -65,7 +65,7 @@ func TestDedupe(t *testing.T) {
 func runSweep(t *testing.T, workers int) (progress, csv string, results []*core.Result) {
 	t.Helper()
 	var pb, cb bytes.Buffer
-	e := New(Options{Size: apps.Small, Workers: workers, Progress: &pb, CSV: &cb, Histograms: true})
+	e := New(Options{Size: apps.Small, Workers: workers, Verify: true, Progress: &pb, CSV: &cb, Histograms: true})
 	res, err := e.Run(context.Background(), testSpec().Points())
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +109,8 @@ func TestSamplerCSVParallelDeterminism(t *testing.T) {
 	run := func(workers int) (progress, samples string, reg *metrics.Registry) {
 		var pb, sb bytes.Buffer
 		reg = metrics.NewRegistry()
-		e := New(Options{Size: apps.Small, Workers: workers, Progress: &pb,
-			SampleEvery: 200 * sim.Microsecond, SampleCSV: &sb, Metrics: reg})
+		e := New(Options{Size: apps.Small, Workers: workers, Verify: true, Progress: &pb,
+			Config: core.Config{SampleEvery: 200 * sim.Microsecond}, SampleCSV: &sb, Metrics: reg})
 		if _, err := e.Run(context.Background(), testSpec().Points()); err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestSamplerCSVParallelDeterminism(t *testing.T) {
 
 func TestRunOneMemoized(t *testing.T) {
 	var pb bytes.Buffer
-	e := New(Options{Size: apps.Small, Workers: 2, Progress: &pb})
+	e := New(Options{Size: apps.Small, Workers: 2, Verify: true, Progress: &pb})
 	k := Key{App: "lu", Protocol: core.SC, Block: 1024, Notify: network.Polling, Nodes: 4}
 	a, err := e.RunOne(context.Background(), k)
 	if err != nil {
@@ -169,7 +169,7 @@ func TestRunOneMemoized(t *testing.T) {
 
 func TestSweepThenCachedRunsStaySilent(t *testing.T) {
 	var pb bytes.Buffer
-	e := New(Options{Size: apps.Small, Workers: 4, Progress: &pb})
+	e := New(Options{Size: apps.Small, Workers: 4, Verify: true, Progress: &pb})
 	pts := testSpec().Points()
 	if _, err := e.Run(context.Background(), pts); err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestSweepThenCachedRunsStaySilent(t *testing.T) {
 }
 
 func TestMemoSingleFlight(t *testing.T) {
-	m := NewMemo()
+	m := NewMemo[Key, *core.Result]()
 	var computes int
 	var mu sync.Mutex
 	gate := make(chan struct{})
@@ -225,7 +225,7 @@ func TestMemoSingleFlight(t *testing.T) {
 }
 
 func TestMemoErrorNotCached(t *testing.T) {
-	m := NewMemo()
+	m := NewMemo[Key, *core.Result]()
 	boom := errors.New("boom")
 	if _, err, _ := m.Do(Seq("x"), func() (*core.Result, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
@@ -237,7 +237,7 @@ func TestMemoErrorNotCached(t *testing.T) {
 }
 
 func TestSweepCancellation(t *testing.T) {
-	e := New(Options{Size: apps.Small, Workers: 2})
+	e := New(Options{Size: apps.Small, Workers: 2, Verify: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := e.Run(ctx, testSpec().Points())
@@ -247,7 +247,7 @@ func TestSweepCancellation(t *testing.T) {
 }
 
 func TestSweepUnknownAppFailsFast(t *testing.T) {
-	e := New(Options{Size: apps.Small, Workers: 4})
+	e := New(Options{Size: apps.Small, Workers: 4, Verify: true})
 	pts := []Key{Seq("nonesuch"), Seq("lu")}
 	if _, err := e.Run(context.Background(), pts); err == nil {
 		t.Fatal("unknown app accepted")
@@ -362,5 +362,32 @@ func TestKeyString(t *testing.T) {
 	k := Key{App: "lu", Protocol: "sc", Block: 64, Notify: network.Polling, Nodes: 16}
 	if got := k.String(); got != fmt.Sprintf("lu/sc/64/%s/16p", network.Polling) {
 		t.Fatalf("key = %q", got)
+	}
+}
+
+// badApp completes a run but always fails verification, so a run's error
+// shows whether the engine verified it.
+type badApp struct{}
+
+func (badApp) Info() core.AppInfo        { return core.AppInfo{Name: "bad", HeapBytes: 4096} }
+func (badApp) Setup(h *core.Heap)        {}
+func (badApp) Run(c *core.Ctx)           {}
+func (badApp) Verify(h *core.Heap) error { return errors.New("wrong image") }
+func badEntry(string) (apps.Entry, error) {
+	return apps.Entry{Name: "bad", New: func(apps.SizeClass) core.App { return badApp{} }}, nil
+}
+
+// TestEngineVerifyHonoured: Options.Verify alone decides verification, at
+// every size.
+func TestEngineVerifyHonoured(t *testing.T) {
+	for _, size := range []apps.SizeClass{apps.Small, apps.Paper} {
+		for _, verify := range []bool{false, true} {
+			e := New(Options{Size: size, Verify: verify})
+			e.apps = badEntry
+			_, err := e.RunOne(context.Background(), Key{App: "bad", Protocol: core.SC, Block: 64, Nodes: 2})
+			if got := err != nil; got != verify {
+				t.Errorf("size=%v verify=%v: err = %v", size, verify, err)
+			}
+		}
 	}
 }

@@ -1,12 +1,22 @@
 package synch_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"dsmsim/internal/core"
 	"dsmsim/internal/sim"
 )
+
+// runVerified runs app on m and checks its final image.
+func runVerified(ctx context.Context, m *core.Machine, app core.App) (*core.Result, error) {
+	res, err := m.Run(ctx, app)
+	if err != nil {
+		return nil, err
+	}
+	return res, core.Verify(app, res)
+}
 
 type scriptApp struct {
 	script func(c *core.Ctx)
@@ -25,7 +35,7 @@ func run(t *testing.T, nodes int, protocol string, script func(c *core.Ctx)) *co
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.RunVerified(&scriptApp{script: script})
+	res, err := runVerified(context.Background(), m, &scriptApp{script: script})
 	if err != nil {
 		t.Fatal(err)
 	}

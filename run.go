@@ -1,11 +1,14 @@
 package dsmsim
 
-import "context"
+import (
+	"context"
 
-// Start is the single entrypoint for individual runs: it validates cfg,
-// applies the functional options, builds the machine and executes app to
-// completion (or ctx cancellation), consolidating what used to take four
-// calls (Run, RunApp, Machine.RunContext, Machine.RunVerifiedContext):
+	"dsmsim/internal/core"
+)
+
+// Start is the single entrypoint for individual runs: it applies the
+// functional options to a copy of cfg, validates it, builds the machine
+// and executes app to completion (or ctx cancellation):
 //
 //	res, err := dsmsim.Start(ctx, cfg, app,
 //	    dsmsim.WithVerify(),
@@ -13,44 +16,27 @@ import "context"
 //	    dsmsim.WithTrace(os.Stderr))
 //
 // By default the run is unverified; WithVerify() re-checks the final
-// shared image against the sequential reference. Options mirror Config
-// where they overlap (WithFaults, WithLimit, WithSampleEvery, WithTrace,
-// WithTraceJSON) and take precedence over the corresponding Config
-// fields when both are set.
+// shared image against the sequential reference. The run-setting options
+// (WithFaults, WithLimit, WithSampleEvery, WithShareProfile,
+// WithCritPath, WithWhatIf, WithTrace, WithTraceJSON) write the
+// corresponding Config fields, so they take precedence over cfg; an
+// option given a zero value leaves cfg's field as it is.
 func Start(ctx context.Context, cfg Config, app App, opts ...Option) (*Result, error) {
-	c := collect(opts)
-	if c.faults != nil {
-		cfg.Faults = c.faults
-	}
-	if c.limit > 0 {
-		cfg.Limit = c.limit
-	}
-	if c.sampleEvery > 0 {
-		cfg.SampleEvery = c.sampleEvery
-	}
-	if c.trace != nil {
-		cfg.Trace = c.trace
-	}
-	if c.traceJSON != nil {
-		cfg.TraceJSON = c.traceJSON
-	}
-	if c.shareProfile {
-		cfg.ShareProfile = true
-	}
-	if c.critPath {
-		cfg.CritPath = true
-	}
-	if c.whatIf != nil {
-		cfg.WhatIf = c.whatIf
-	}
-	m, err := NewMachine(cfg)
+	c := collect(cfg, opts)
+	m, err := NewMachine(c.Config)
 	if err != nil {
 		return nil, err
 	}
-	if c.verify != nil && *c.verify {
-		return m.RunVerifiedContext(ctx, app)
+	res, err := m.Run(ctx, app)
+	if err != nil {
+		return nil, err
 	}
-	return m.RunContext(ctx, app)
+	if c.verifyOr(false) {
+		if err := core.Verify(app, res); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
 }
 
 // StartApp is Start for a bundled application selected by name and size.

@@ -14,21 +14,29 @@ func smallCfg() dsmsim.Config {
 	return dsmsim.Config{Nodes: 4, BlockSize: 64, Protocol: dsmsim.HLRC}
 }
 
-// TestStartMatchesDeprecatedWrappers: the consolidated entrypoint and the
-// legacy helpers are the same run.
-func TestStartMatchesDeprecatedWrappers(t *testing.T) {
-	viaStart, err := dsmsim.StartApp(context.Background(), smallCfg(), "lu", dsmsim.Small,
-		dsmsim.WithVerify())
+// TestStartMatchesMachineRun: Start with WithVerify is the same run as
+// building the machine and running it directly.
+func TestStartMatchesMachineRun(t *testing.T) {
+	ctx := context.Background()
+	viaStart, err := dsmsim.StartApp(ctx, smallCfg(), "lu", dsmsim.Small, dsmsim.WithVerify())
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaRunApp, err := dsmsim.RunApp(smallCfg(), "lu", dsmsim.Small)
+	m, err := dsmsim.NewMachine(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaStart.Time != viaRunApp.Time || viaStart.NetMsgs != viaRunApp.NetMsgs {
-		t.Fatalf("Start (T=%v msgs=%d) diverged from RunApp (T=%v msgs=%d)",
-			viaStart.Time, viaStart.NetMsgs, viaRunApp.Time, viaRunApp.NetMsgs)
+	app, err := dsmsim.NewApp("lu", dsmsim.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaRun, err := m.Run(ctx, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaStart.Time != viaRun.Time || viaStart.NetMsgs != viaRun.NetMsgs {
+		t.Fatalf("Start (T=%v msgs=%d) diverged from Machine.Run (T=%v msgs=%d)",
+			viaStart.Time, viaStart.NetMsgs, viaRun.Time, viaRun.NetMsgs)
 	}
 }
 
@@ -81,7 +89,7 @@ func TestStartTypedErrors(t *testing.T) {
 	}
 	cfg := smallCfg()
 	cfg.Protocol = "tso"
-	if _, err := dsmsim.Run(cfg, nil); !errors.Is(err, dsmsim.ErrUnknownProtocol) {
+	if _, err := dsmsim.Start(context.Background(), cfg, nil); !errors.Is(err, dsmsim.ErrUnknownProtocol) {
 		t.Fatalf("err = %v, want ErrUnknownProtocol", err)
 	}
 	bad := dsmsim.NewFaultPlan(dsmsim.Drop(1.5))

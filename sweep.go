@@ -112,7 +112,7 @@ func (r *SweepResult) GetFault(app, protocol string, block int, notify Notify, f
 //	    Nodes: 16,
 //	}, dsmsim.WithProgress(os.Stderr))
 func Sweep(ctx context.Context, spec SweepSpec, opts ...Option) (*SweepResult, error) {
-	c := collect(opts)
+	c := collect(Config{}, opts)
 	if len(spec.Apps) == 0 {
 		spec.Apps = AppNames()
 	}
@@ -128,14 +128,10 @@ func Sweep(ctx context.Context, spec SweepSpec, opts ...Option) (*SweepResult, e
 	if spec.Nodes == 0 {
 		spec.Nodes = 16
 	}
-	verify := spec.Size == Small
-	if c.verify != nil {
-		verify = *c.verify
-	}
 	var faultNames []string
-	if len(c.faultGrid) > 0 {
+	if len(c.FaultGrid) > 0 {
 		seen := map[string]bool{}
-		for _, v := range c.faultGrid {
+		for _, v := range c.FaultGrid {
 			if v.Name == "" {
 				return nil, fmt.Errorf("dsmsim: sweep: fault-grid variant with empty name")
 			}
@@ -146,28 +142,7 @@ func Sweep(ctx context.Context, spec SweepSpec, opts ...Option) (*SweepResult, e
 			faultNames = append(faultNames, v.Name)
 		}
 	}
-	eng := sweep.New(sweep.Options{
-		Size:        spec.Size,
-		Workers:     c.workers,
-		Verify:      verify,
-		Limit:       c.limit,
-		Progress:    c.progress,
-		CSV:         c.csv,
-		Histograms:  c.histograms,
-		SampleEvery: c.sampleEvery,
-		SampleCSV:   c.sampleCSV,
-		Metrics:     c.metrics,
-		Faults:      c.faults,
-		FaultGrid:   c.faultGrid,
-		Fork:        c.fork,
-
-		ShareProfile: c.shareProfile,
-		ProfCSV:      c.profCSV,
-
-		CritPath: c.critPath,
-		CritCSV:  c.critCSV,
-		WhatIf:   c.whatIf,
-	})
+	eng := sweep.New(c.sweepOptions(spec.Size))
 	points := sweep.Dedupe(sweep.Spec{
 		Apps:          spec.Apps,
 		Protocols:     spec.Protocols,
@@ -175,7 +150,7 @@ func Sweep(ctx context.Context, spec SweepSpec, opts ...Option) (*SweepResult, e
 		Notifies:      spec.Notify,
 		Nodes:         spec.Nodes,
 		Baselines:     !spec.SkipBaselines,
-		Faults:        faultNames,
+		Variants:      faultNames,
 	}.Points())
 	results, err := eng.Run(ctx, points)
 	if err != nil {
@@ -189,4 +164,16 @@ func Sweep(ctx context.Context, spec SweepSpec, opts ...Option) (*SweepResult, e
 		}
 	}
 	return out, nil
+}
+
+// sweepOptions resolves the engine options of a Sweep at size: WithVerify
+// when given, else verification at Small size only (it is slow at Paper
+// size). Per-run trace writers are dropped: parallel runs would interleave
+// on one writer.
+func (c *options) sweepOptions(size SizeClass) sweep.Options {
+	o := c.Options
+	o.Size = size
+	o.Verify = c.verifyOr(size == Small)
+	o.Config.Trace, o.Config.TraceJSON = nil, nil
+	return o
 }

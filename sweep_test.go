@@ -120,7 +120,7 @@ func TestMachineRunContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := m.RunContext(ctx, app)
+	res, err := m.Run(ctx, app)
 	if err != nil {
 		t.Fatal(err)
 	}
