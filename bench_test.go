@@ -250,12 +250,17 @@ func BenchmarkEngineOverhead(b *testing.B) {
 // time): one remote fault round trip, one lock handoff, one barrier episode.
 
 type primApp struct {
+	heap  int // shared heap bytes; 0 means 1 MB
 	setup func(h *dsmsim.Heap)
 	run   func(c *dsmsim.Ctx)
 }
 
 func (a *primApp) Info() dsmsim.AppInfo {
-	return dsmsim.AppInfo{Name: "prim", HeapBytes: 1 << 20}
+	heap := a.heap
+	if heap == 0 {
+		heap = 1 << 20
+	}
+	return dsmsim.AppInfo{Name: "prim", HeapBytes: heap}
 }
 func (a *primApp) Setup(h *dsmsim.Heap) {
 	if a.setup != nil {
@@ -267,13 +272,21 @@ func (a *primApp) Verify(h *dsmsim.Heap) error { return nil }
 
 func benchPrim(b *testing.B, protocol string, iters int, run func(c *dsmsim.Ctx, iters int)) {
 	b.Helper()
+	benchPrimOn(b, dsmsim.Config{Nodes: 2, BlockSize: 256, Protocol: protocol}, 0, iters, run)
+}
+
+// benchPrimOn runs a primApp with the given heap on cfg once per
+// iteration; wall-ns/op is per primitive (iters per run).
+func benchPrimOn(b *testing.B, cfg dsmsim.Config, heap, iters int, run func(c *dsmsim.Ctx, iters int)) {
+	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m, err := dsmsim.NewMachine(dsmsim.Config{Nodes: 2, BlockSize: 256, Protocol: protocol})
+		m, err := dsmsim.NewMachine(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Run(context.Background(), &primApp{run: func(c *dsmsim.Ctx) { run(c, iters) }}); err != nil {
+		app := &primApp{heap: heap, run: func(c *dsmsim.Ctx) { run(c, iters) }}
+		if _, err := m.Run(context.Background(), app); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -318,6 +331,29 @@ func BenchmarkBarrierEpisode(b *testing.B) {
 			c.Barrier()
 		}
 	})
+}
+
+// BenchmarkBarrierRelease: barrier episodes at 1024 nodes under the two
+// LRC protocols, where every interval carries a write notice, so each
+// release names about one interval per node for each of the 1024
+// receivers. Each node writes one word before every barrier, to a block
+// (one per node) no one else writes that round; the block rotates so the
+// write faults and is published every round. B/op is per run of iters
+// barriers; shipping the notices as per-receiver copies costs O(nodes²)
+// bytes per barrier, while log windows keep it to the clocks.
+func BenchmarkBarrierRelease(b *testing.B) {
+	const nodes, block, iters = 1024, 64, 8
+	for _, p := range []string{dsmsim.SWLRC, dsmsim.HLRC} {
+		b.Run(fmt.Sprintf("%s/%d", p, nodes), func(b *testing.B) {
+			cfg := dsmsim.Config{Nodes: nodes, BlockSize: block, Protocol: p}
+			benchPrimOn(b, cfg, nodes*block, iters, func(c *dsmsim.Ctx, n int) {
+				for i := 0; i < n; i++ {
+					c.WriteI64((c.ID()+i)%nodes*block, int64(i))
+					c.Barrier()
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkSweep measures the checkpoint/fork sweep planner on a

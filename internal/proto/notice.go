@@ -26,10 +26,16 @@ type Interval struct {
 // the log entries between two clock values.
 type Log struct {
 	byNode [][]Interval
+	// total[node][k] is the number of notices in node's intervals 1..k+1,
+	// a running sum appended alongside byNode so notice counts over any
+	// window are two lookups.
+	total [][]int
 }
 
 // NewLog returns an empty log for n nodes.
-func NewLog(n int) *Log { return &Log{byNode: make([][]Interval, n)} }
+func NewLog(n int) *Log {
+	return &Log{byNode: make([][]Interval, n), total: make([][]int, n)}
+}
 
 // Publish appends node's next interval containing the given notices and
 // returns its index. Empty intervals are legal (a release with no writes
@@ -37,6 +43,7 @@ func NewLog(n int) *Log { return &Log{byNode: make([][]Interval, n)} }
 func (l *Log) Publish(node int, notices []WriteNotice) int32 {
 	idx := int32(len(l.byNode[node]) + 1)
 	l.byNode[node] = append(l.byNode[node], Interval{Node: int32(node), Index: idx, Notices: notices})
+	l.total[node] = append(l.total[node], l.through(node, idx-1)+len(notices))
 	return idx
 }
 
@@ -55,19 +62,29 @@ func (l *Log) Between(node int, after, upTo int32) []Interval {
 	return l.byNode[node][after:upTo]
 }
 
-// NoticesBetween counts the notices in (after, upTo] for wire sizing.
+// NoticesBetween counts the notices in (after, upTo] for wire sizing,
+// with the same clamping as Between.
 func (l *Log) NoticesBetween(node int, after, upTo int32) int {
-	n := 0
-	for _, iv := range l.Between(node, after, upTo) {
-		n += len(iv.Notices)
+	upTo = min(upTo, l.Latest(node))
+	if after >= upTo {
+		return 0
 	}
-	return n
+	return l.through(node, upTo) - l.through(node, after)
+}
+
+// through returns the number of notices in node's intervals 1..k.
+func (l *Log) through(node int, k int32) int {
+	if k <= 0 {
+		return 0
+	}
+	return l.total[node][k-1]
 }
 
 // Reset clears all published intervals (parallel-phase boundary).
 func (l *Log) Reset() {
 	for i := range l.byNode {
 		l.byNode[i] = nil
+		l.total[i] = nil
 	}
 }
 
@@ -75,12 +92,14 @@ func (l *Log) Reset() {
 // interval slice gets fresh backing (a fork appending interval k+1 must
 // not write into an array the snapshot or a sibling fork also references).
 // The Interval values themselves are copied, but their Notices slices are
-// shared — intervals are immutable once published.
+// shared — intervals are immutable once published. The running notice
+// totals are copied the same way.
 func (l *Log) Clone() *Log {
-	c := &Log{byNode: make([][]Interval, len(l.byNode))}
+	c := NewLog(len(l.byNode))
 	for i, ivs := range l.byNode {
 		if len(ivs) > 0 {
 			c.byNode[i] = append([]Interval(nil), ivs...)
+			c.total[i] = append([]int(nil), l.total[i]...)
 		}
 	}
 	return c
@@ -89,5 +108,6 @@ func (l *Log) Clone() *Log {
 // RestoreFrom overwrites this log in place from a snapshot produced by
 // Clone, re-cloning so the snapshot stays pristine for further forks.
 func (l *Log) RestoreFrom(src *Log) {
-	l.byNode = src.Clone().byNode
+	c := src.Clone()
+	l.byNode, l.total = c.byNode, c.total
 }

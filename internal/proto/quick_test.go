@@ -118,3 +118,49 @@ func TestVCMergeIdempotentCommutativeAssociative(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLogNoticesBetweenRunningTotal: the running-total NoticesBetween
+// equals the naive sum over Between for any window, including windows
+// past the latest interval and empty or inverted ones, on the log, on a
+// clone that has since diverged, and on a log restored from that clone.
+func TestLogNoticesBetweenRunningTotal(t *testing.T) {
+	naive := func(l *Log, node int, after, upTo int32) int {
+		n := 0
+		for _, iv := range l.Between(node, after, upTo) {
+			n += len(iv.Notices)
+		}
+		return n
+	}
+	publish := func(rng *rand.Rand, l *Log, nodes, count int) {
+		for i := 0; i < count; i++ {
+			ns := make([]WriteNotice, rng.Intn(5))
+			l.Publish(rng.Intn(nodes), ns)
+		}
+	}
+	check := func(rng *rand.Rand, l *Log, nodes int) bool {
+		for q := 0; q < 50; q++ {
+			node := rng.Intn(nodes)
+			span := int(l.Latest(node)) + 3
+			after, upTo := int32(rng.Intn(span)), int32(rng.Intn(span))
+			if l.NoticesBetween(node, after, upTo) != naive(l, node, after, upTo) {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := 1 + rng.Intn(6)
+		l := NewLog(nodes)
+		publish(rng, l, nodes, rng.Intn(60))
+		c := l.Clone()
+		publish(rng, l, nodes, rng.Intn(20))
+		publish(rng, c, nodes, rng.Intn(20))
+		r := NewLog(nodes)
+		r.RestoreFrom(c)
+		return check(rng, l, nodes) && check(rng, c, nodes) && check(rng, r, nodes)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

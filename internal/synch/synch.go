@@ -35,25 +35,63 @@ const (
 //	kLockRelease:  A = lock, B = releaser's logical timestamp (carrier only)
 //	kLockGrantReq: A = lock, B = acquirer, Payload = acquirer's proto.VC
 //	kLockGrant:    A = lock, B = last release's logical timestamp (carrier
-//	               only), Payload = *grant or nil (direct grant, no notices)
+//	               only), Payload = *window (acquirer's request clock up
+//	               to the releaser's clock) or nil (direct grant, no
+//	               notices)
 //	kBarArrive:    B = arriver's logical timestamp (carrier only),
 //	               Payload = arriver's proto.VC (nil under SC)
 //	kBarRelease:   B = max arrival timestamp (carrier only),
-//	               Payload = *barRelease or nil (SC: no notices to carry)
+//	               Payload = *window (receiver's arrival clock up to the
+//	               merged clock) or nil (SC: no notices to carry)
 //
 // A nil proto.VC boxes into Payload without allocating, so SC — where
 // synchronization carries no consistency payload — stays allocation-free.
 // Under a proto.TimestampCarrier protocol (tlc) the B fields above carry
 // a scalar logical timestamp, 8 extra bytes per message; for every other
 // protocol they stay zero and the wire sizes are unchanged.
-type grant struct {
-	ivs    []proto.Interval
-	fromVC proto.VC
+
+// window is the consistency payload of a lock grant or a barrier release:
+// the receiver lacks node j's intervals (after[j], upTo[j]] of the shared
+// proto.Log, for every j. The payload names that range and the receiver
+// walks the log itself, reading the intervals the sender saw: published
+// intervals are immutable, the log only appends within a run, and neither
+// clock is mutated after the send (both are clones or, at a barrier, the
+// fresh merged clock). notices is the count the wire size, service cost
+// and statistics charge.
+type window struct {
+	after, upTo proto.VC
+	notices     int
 }
 
-type barRelease struct {
-	ivs    []proto.Interval
-	merged proto.VC
+// fill points w at (after, upTo] and counts its notices. It panics if upTo
+// names an interval not yet published: the receiver walks the log later,
+// and only a window inside the log at send time reads the same intervals
+// then as now.
+func (w *window) fill(log *proto.Log, after, upTo proto.VC) {
+	w.after, w.upTo, w.notices = after, upTo, 0
+	for j, hi := range upTo {
+		if latest := log.Latest(j); hi > latest {
+			panic(fmt.Sprintf("synch: notice window reaches interval %d of node %d, latest published is %d", hi, j, latest))
+		}
+		w.notices += log.NoticesBetween(j, after[j], hi)
+	}
+}
+
+// each calls fn on every non-empty run of intervals in the window, source
+// node by source node in ascending order — the order the intervals would
+// have if flattened into one slice.
+func (w *window) each(log *proto.Log, fn func(ivs []proto.Interval)) {
+	for j, hi := range w.upTo {
+		if ivs := log.Between(j, w.after[j], hi); len(ivs) > 0 {
+			fn(ivs)
+		}
+	}
+}
+
+// windowBytes is w's wire size beyond the message header: the sender's
+// clock plus one record per notice.
+func (s *Sync) windowBytes(w *window) int {
+	return s.vcBytes() + w.notices*s.env.Model.WriteNoticeBytes
 }
 
 type waiter struct {
@@ -130,14 +168,6 @@ func (s *Sync) lockHome(lock int) int { return lock % s.env.Nodes() }
 
 func (s *Sync) vcBytes() int { return s.env.Nodes() * s.env.Model.VCEntryBytes }
 
-func (s *Sync) noticeCount(ivs []proto.Interval) int {
-	n := 0
-	for _, iv := range ivs {
-		n += len(iv.Notices)
-	}
-	return n
-}
-
 // Acquire obtains the lock for node. Proc context; blocks until granted.
 func (s *Sync) Acquire(node, lock int) {
 	s.env.Stats[node].LockAcquires++
@@ -213,13 +243,13 @@ func (s *Sync) ServiceCost(m *network.Msg) sim.Time {
 	model := s.env.Model
 	switch m.Kind {
 	case kLockGrant:
-		if g, ok := m.Payload.(*grant); ok {
-			return model.LockHandling + sim.Time(s.noticeCount(g.ivs))*model.NoticeApply
+		if w, ok := m.Payload.(*window); ok {
+			return model.LockHandling + sim.Time(w.notices)*model.NoticeApply
 		}
 		return model.LockHandling
 	case kBarRelease:
-		if b, ok := m.Payload.(*barRelease); ok {
-			return model.BarrierHandling + sim.Time(s.noticeCount(b.ivs))*model.NoticeApply
+		if w, ok := m.Payload.(*window); ok {
+			return model.BarrierHandling + sim.Time(w.notices)*model.NoticeApply
 		}
 		return model.BarrierHandling
 	case kBarArrive:
@@ -319,38 +349,42 @@ func (s *Sync) grantFrom(home int, st *lockState, lock, acquirer int, acqVC prot
 }
 
 func (s *Sync) handleGrantReq(m *network.Msg) {
-	toVC := m.Payload.(proto.VC)
-	r := m.Dst // the last releaser computes the notices
-	myVC := s.env.VCs[r]
-	var ivs []proto.Interval
-	for j := 0; j < s.env.Nodes(); j++ {
-		ivs = append(ivs, s.env.Log.Between(j, toVC[j], myVC[j])...)
-	}
+	r := m.Dst // the last releaser names the notices the acquirer lacks
+	w := new(window)
+	w.fill(s.env.Log, m.Payload.(proto.VC), s.env.VCs[r].Clone())
 	s.env.Send(r, &network.Msg{
 		Dst: int(m.B), Kind: kLockGrant, Block: -1,
 		A:       m.A,
-		Payload: &grant{ivs: ivs, fromVC: myVC.Clone()},
-		Bytes:   8 + s.vcBytes() + s.noticeCount(ivs)*s.env.Model.WriteNoticeBytes,
+		Payload: w,
+		Bytes:   8 + s.windowBytes(w),
 	})
 }
 
+// applyWindow delivers w's notices to node and advances its clock to the
+// window's upper bound.
+func (s *Sync) applyWindow(node int, w *window) {
+	w.each(s.env.Log, func(ivs []proto.Interval) { s.proto.ApplyNotices(node, ivs) })
+	s.env.Stats[node].WriteNoticesRecv += int64(w.notices)
+	s.env.VCs[node].Merge(w.upTo)
+}
+
+// windowNotices is w's notice count, 0 for a payload-free message.
+func windowNotices(w *window) int64 {
+	if w == nil {
+		return 0
+	}
+	return int64(w.notices)
+}
+
 func (s *Sync) handleGrant(m *network.Msg) {
-	g, _ := m.Payload.(*grant)
+	w, _ := m.Payload.(*window)
 	node := m.Dst
 	if tr := s.env.Tracer; tr != nil {
-		notices := 0
-		if g != nil {
-			notices = s.noticeCount(g.ivs)
-		}
 		tr.Instant(node, trace.CatSynch, "grant",
-			trace.A("lock", m.A), trace.A("notices", int64(notices)))
+			trace.A("lock", m.A), trace.A("notices", windowNotices(w)))
 	}
-	if s.proto.UsesIntervals() && g != nil {
-		s.proto.ApplyNotices(node, g.ivs)
-		s.env.Stats[node].WriteNoticesRecv += int64(s.noticeCount(g.ivs))
-		if g.fromVC != nil {
-			s.env.VCs[node].Merge(g.fromVC)
-		}
+	if s.proto.UsesIntervals() && w != nil {
+		s.applyWindow(node, w)
 	}
 	if s.ts != nil {
 		s.ts.AcquireTS(node, m.B)
@@ -400,20 +434,17 @@ func (s *Sync) releaseBarrier() {
 			merged.Merge(vc)
 		}
 	}
+	var windows []window
+	if uses {
+		windows = make([]window, n)
+	}
 	for i := 0; i < n; i++ {
-		bytes := 8
-		var payload *barRelease
+		msg := network.Msg{Dst: i, Kind: kBarRelease, Block: -1, Bytes: 8}
 		if uses {
-			var ivs []proto.Interval
-			for j := 0; j < n; j++ {
-				ivs = append(ivs, s.env.Log.Between(j, s.barVCs[i][j], merged[j])...)
-			}
-			bytes += s.vcBytes() + s.noticeCount(ivs)*s.env.Model.WriteNoticeBytes
-			payload = &barRelease{ivs: ivs, merged: merged}
-		}
-		msg := network.Msg{Dst: i, Kind: kBarRelease, Block: -1, Bytes: bytes}
-		if payload != nil {
-			msg.Payload = payload
+			w := &windows[i]
+			w.fill(s.env.Log, s.barVCs[i], merged)
+			msg.Payload = w
+			msg.Bytes += s.windowBytes(w)
 		}
 		if s.ts != nil {
 			msg.B = s.barMaxTS
@@ -514,20 +545,14 @@ func (st *State) AddToDigest(d *proto.Digest) {
 }
 
 func (s *Sync) handleBarRelease(m *network.Msg) {
-	b, _ := m.Payload.(*barRelease)
+	w, _ := m.Payload.(*window)
 	node := m.Dst
 	if tr := s.env.Tracer; tr != nil {
-		notices := 0
-		if b != nil {
-			notices = s.noticeCount(b.ivs)
-		}
 		tr.Instant(node, trace.CatSynch, "bar-release",
-			trace.A("notices", int64(notices)))
+			trace.A("notices", windowNotices(w)))
 	}
-	if s.proto.UsesIntervals() && b != nil {
-		s.proto.ApplyNotices(node, b.ivs)
-		s.env.Stats[node].WriteNoticesRecv += int64(s.noticeCount(b.ivs))
-		s.env.VCs[node].Merge(b.merged)
+	if s.proto.UsesIntervals() && w != nil {
+		s.applyWindow(node, w)
 	}
 	if s.ts != nil {
 		s.ts.AcquireTS(node, m.B)

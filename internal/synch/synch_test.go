@@ -164,3 +164,27 @@ func TestLockStallAccounting(t *testing.T) {
 		t.Fatalf("lock acquires = %d", res.Total.LockAcquires)
 	}
 }
+
+// TestBarrierWindowsDeliverEveryNotice: when every node writes a block no
+// one else writes that round (rotating, so every write faults and
+// publishes a notice) before each barrier, each notice reaches every other
+// node exactly once through the release windows, under both LRC
+// protocols. Every window is checked against the log when it is sent, so
+// this run also exercises the send-time invariant the receivers rely on.
+func TestBarrierWindowsDeliverEveryNotice(t *testing.T) {
+	const nodes, rounds = 8, 6
+	for _, p := range []string{core.SWLRC, core.HLRC} {
+		t.Run(p, func(t *testing.T) {
+			res := run(t, nodes, p, func(c *core.Ctx) {
+				for r := 0; r < rounds; r++ {
+					c.WriteI64((c.ID()+r)%nodes*1024, int64(r))
+					c.Barrier()
+				}
+			})
+			sent, recv := res.Total.WriteNoticesSent, res.Total.WriteNoticesRecv
+			if sent != nodes*rounds || recv != (nodes-1)*sent {
+				t.Fatalf("notices sent/received = %d/%d, want %d/%d", sent, recv, nodes*rounds, (nodes-1)*nodes*rounds)
+			}
+		})
+	}
+}

@@ -129,3 +129,42 @@ func TestScaleFootprint256(t *testing.T) {
 		})
 	}
 }
+
+// TestScaleFootprint1024 pins the allocation volume of the 1024-node
+// point. Lock grants and barrier releases ship write notices as windows
+// over the shared interval log; copying each receiver's notices into a
+// fresh slice instead costs O(nodes²) bytes per barrier, about 2 GB for
+// this LU run, far above the ceiling. The traffic totals are the ones the
+// copying implementation produced: the window changes host cost only,
+// never what the simulated machine sends.
+func TestScaleFootprint1024(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1024-node footprint check skipped in -short mode")
+	}
+	for _, tc := range []struct {
+		proto             string
+		notices, netBytes int64
+	}{
+		{dsmsim.SWLRC, 161634, 239757164},
+		{dsmsim.HLRC, 199485, 239679215},
+	} {
+		t.Run(tc.proto, func(t *testing.T) {
+			cfg := dsmsim.Config{Nodes: 1024, BlockSize: 4096, Protocol: tc.proto}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := dsmsim.StartApp(context.Background(), cfg, "lu", dsmsim.Small)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const ceiling = 400 << 20
+			if delta := after.TotalAlloc - before.TotalAlloc; delta > ceiling {
+				t.Errorf("run allocated %d bytes total, ceiling %d", delta, ceiling)
+			}
+			if res.Total.WriteNoticesRecv != tc.notices || res.NetBytes != tc.netBytes {
+				t.Errorf("WriteNoticesRecv/NetBytes = %d/%d, want %d/%d",
+					res.Total.WriteNoticesRecv, res.NetBytes, tc.notices, tc.netBytes)
+			}
+		})
+	}
+}
