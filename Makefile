@@ -22,14 +22,15 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 
 # Hot-path benchmark record: run the tracked microbenchmarks (single-run
-# matrix, Fig 1 workload, sweep, lock handoff, barrier episodes, 1024-node
-# barrier releases, raw engine dispatch) with -benchmem and emit
+# matrix, Fig 1 workload, sweep, SC fault round trip, engine overhead, lock
+# handoff, barrier episodes, 1024-node barrier releases, raw engine
+# dispatch) with -benchmem and emit
 # BENCH_hotpath.json — current numbers joined with the checked-in
 # pre-optimization baseline (bench_baseline.json) and improvement ratios.
 # BENCHTIME trades precision for speed (CI smoke-tests with 1x).
 BENCHTIME ?= 1x
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'SingleRun|Fig1$$|BenchmarkSweep/|LockHandoff|BarrierEpisode|BarrierRelease' -benchmem \
+	{ $(GO) test -run '^$$' -bench 'SingleRun|Fig1$$|BenchmarkSweep/|FaultRoundTrip|EngineOverhead|LockHandoff|BarrierEpisode|BarrierRelease' -benchmem \
 		-benchtime=$(BENCHTIME) . ; \
 	  $(GO) test -run '^$$' -bench 'EngineDispatch|ProcSleep' -benchmem \
 		-benchtime=100000x ./internal/sim ; } | tee bench_raw.txt

@@ -270,45 +270,62 @@ func (a *primApp) Setup(h *dsmsim.Heap) {
 func (a *primApp) Run(c *dsmsim.Ctx)           { a.run(c) }
 func (a *primApp) Verify(h *dsmsim.Heap) error { return nil }
 
-func benchPrim(b *testing.B, protocol string, iters int, run func(c *dsmsim.Ctx, iters int)) {
+func benchPrim(b *testing.B, protocol string, iters int, run func(c *dsmsim.Ctx, iters int)) int64 {
 	b.Helper()
-	benchPrimOn(b, dsmsim.Config{Nodes: 2, BlockSize: 256, Protocol: protocol}, 0, iters, run)
+	return benchPrimOn(b, dsmsim.Config{Nodes: 2, BlockSize: 256, Protocol: protocol}, 0, iters, run)
 }
 
 // benchPrimOn runs a primApp with the given heap on cfg once per
-// iteration; wall-ns/op is per primitive (iters per run).
-func benchPrimOn(b *testing.B, cfg dsmsim.Config, heap, iters int, run func(c *dsmsim.Ctx, iters int)) {
+// iteration; wall-ns/op is per primitive (iters per run). It returns the
+// access faults (read plus write) the runs took in all.
+func benchPrimOn(b *testing.B, cfg dsmsim.Config, heap, iters int, run func(c *dsmsim.Ctx, iters int)) int64 {
 	b.Helper()
 	b.ReportAllocs()
+	var faults int64
 	for i := 0; i < b.N; i++ {
 		m, err := dsmsim.NewMachine(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		app := &primApp{heap: heap, run: func(c *dsmsim.Ctx) { run(c, iters) }}
-		if _, err := m.Run(context.Background(), app); err != nil {
+		res, err := m.Run(context.Background(), app)
+		if err != nil {
 			b.Fatal(err)
 		}
+		faults += res.Total.ReadFaults + res.Total.WriteFaults
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*iters), "wall-ns/op")
+	return faults
 }
 
-// BenchmarkFaultRoundTrip: node 1 repeatedly invalidates and refetches one
-// block owned by node 0 — a full SC coherence round trip per iteration.
+// BenchmarkFaultRoundTrip: node 0 writes one word and node 1 reads it,
+// in slots half a period apart, so every access misses under SC: each
+// write invalidates node 1's copy and each read fetches it back, two
+// coherence round trips per iteration. The slots are fixed in virtual
+// time and far longer than a round trip, so fault latency never lets one
+// node's accesses drift into the other's; faults/op (at least 1) shows
+// that the benchmark times faults, not hits.
 func BenchmarkFaultRoundTrip(b *testing.B) {
 	const iters = 200
-	benchPrim(b, dsmsim.SC, iters, func(c *dsmsim.Ctx, n int) {
-		if c.ID() == 0 {
-			for i := 0; i < n; i++ {
+	const period = dsmsim.Millisecond
+	faults := benchPrim(b, dsmsim.SC, iters, func(c *dsmsim.Ctx, n int) {
+		next := c.Now() + dsmsim.Time(c.ID())*period/2
+		for i := 0; i < n; i++ {
+			c.Compute(next - c.Now()) // wait for this node's slot
+			if c.ID() == 0 {
 				c.WriteI64(0, int64(i))
-			}
-		} else {
-			for i := 0; i < n; i++ {
+			} else {
 				_ = c.ReadI64(0)
 			}
+			next += period
 		}
 		c.Barrier()
 	})
+	perOp := float64(faults) / float64(b.N*iters)
+	b.ReportMetric(perOp, "faults/op")
+	if perOp < 1 {
+		b.Fatalf("faults/op = %.2f: the accesses hit instead of faulting", perOp)
+	}
 }
 
 // BenchmarkLockHandoff: two nodes alternate on one lock.

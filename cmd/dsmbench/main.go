@@ -98,10 +98,7 @@ func main() {
 		// Append, as documented: records from successive invocations
 		// accumulate. The CSV sink writes the header exactly once and
 		// suppresses it by itself when the file already holds records.
-		f, err := os.OpenFile(*csvPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fatal(err)
-		}
+		f := appendFile(*csvPath)
 		defer f.Close()
 		opts.CSV = f
 	}
@@ -138,28 +135,19 @@ func main() {
 		if *sampleEvery <= 0 {
 			fatal(fmt.Errorf("-sample-csv needs -sample-every"))
 		}
-		f, err := os.OpenFile(*sampleCSV, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fatal(err)
-		}
+		f := appendFile(*sampleCSV)
 		defer f.Close()
 		opts.SampleCSV = f
 	}
 	opts.Config.ShareProfile = *prof || *profCSV != ""
 	if *profCSV != "" {
-		f, err := os.OpenFile(*profCSV, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fatal(err)
-		}
+		f := appendFile(*profCSV)
 		defer f.Close()
 		opts.ProfCSV = f
 	}
 	opts.Config.CritPath = *crit || *critCSV != ""
 	if *critCSV != "" {
-		f, err := os.OpenFile(*critCSV, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fatal(err)
-		}
+		f := appendFile(*critCSV)
 		defer f.Close()
 		opts.CritCSV = f
 	}
@@ -285,6 +273,15 @@ func printForkSummary(fs sweep.ForkStats, wall time.Duration) {
 	fmt.Printf("\nfork: %d warmup prefixes served %d forked runs; wall %v vs ~%v flat (est. %.2fx speedup)\n",
 		fs.Prefixes, fs.ForkedRuns, wall.Round(time.Millisecond), flat.Round(time.Millisecond),
 		float64(flat)/float64(wall))
+}
+
+// appendFile opens path for appending, creating it if needed.
+func appendFile(path string) *os.File {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		fatal(err)
+	}
+	return f
 }
 
 func fatal(err error) {

@@ -198,6 +198,14 @@ func (c *Config) Validate() error {
 	if err := c.Faults.ValidateFor(c.Nodes); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadFaultPlan, err)
 	}
+	if s := c.WhatIf; s != nil {
+		// A scale is valid exactly when its flag spelling parses back:
+		// ParseScale is the one definition of the classes and factor
+		// range a what-if run accepts.
+		if _, err := critpath.ParseScale(s.String()); err != nil {
+			return fmt.Errorf("core: invalid what-if scale %s: %w", s, err)
+		}
+	}
 	return nil
 }
 
@@ -603,21 +611,26 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 	if ct := r.crit; ct != nil {
 		ct.Runtime = func(i int) bool { return r.nodes[i].inRuntime }
 	}
+	// finished is the shared epilogue of every proc body, fresh or
+	// restored: the node's completion time, its critical-path finish, and
+	// the stolen-time give-back. Service time stolen from computation
+	// extends the *next* Compute call; what was charged after the last one
+	// never lengthened anything, so give it back — the breakdown
+	// components must describe time that actually passed.
+	finished := func(n *Node) {
+		n.finishAt = engine.Now()
+		if ct := r.crit; ct != nil {
+			ct.Finish(n.id, n.finishAt)
+		}
+		n.stats.Stolen -= n.stolen
+		n.stolen = 0
+	}
 	if cp == nil {
 		for i := 0; i < cfg.Nodes; i++ {
 			n := r.nodes[i]
 			n.proc = engine.NewProc(fmt.Sprintf("node%d", i), 0, func(pr *sim.Proc) {
 				app.Run(&Ctx{n: n})
-				n.finishAt = engine.Now()
-				if ct := r.crit; ct != nil {
-					ct.Finish(n.id, n.finishAt)
-				}
-				// Service time stolen from computation extends the *next*
-				// Compute call; what was charged after the last one never
-				// lengthened anything, so give it back — the breakdown
-				// components must describe time that actually passed.
-				n.stats.Stolen -= n.stolen
-				n.stolen = 0
+				finished(n)
 			})
 			env.Procs = append(env.Procs, n.proc)
 		}
@@ -637,12 +650,7 @@ func (m *Machine) buildRun(ctx context.Context, app App, cp *Checkpoint) (*run, 
 				n.inRuntime = false
 				n.barrierResumed()
 				rapp.RunFrom(&Ctx{n: n}, cp.epoch)
-				n.finishAt = engine.Now()
-				if ct := r.crit; ct != nil {
-					ct.Finish(n.id, n.finishAt)
-				}
-				n.stats.Stolen -= n.stolen
-				n.stolen = 0
+				finished(n)
 			})
 			env.Procs = append(env.Procs, n.proc)
 		}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"dsmsim/internal/critpath"
 	"dsmsim/internal/faults"
 )
 
@@ -26,6 +28,10 @@ func TestTypedValidationErrors(t *testing.T) {
 		{"unknown protocol", Config{Nodes: 4, BlockSize: 64, Protocol: "tso"}, ErrUnknownProtocol},
 		{"bad fault probability", Config{Nodes: 4, BlockSize: 64, Protocol: SC,
 			Faults: faults.NewPlan(faults.Drop(1.5))}, ErrBadFaultPlan},
+		{"NaN fault probability", Config{Nodes: 4, BlockSize: 64, Protocol: SC,
+			Faults: faults.NewPlan(faults.Drop(math.NaN()))}, ErrBadFaultPlan},
+		{"NaN straggler factor", Config{Nodes: 4, BlockSize: 64, Protocol: SC,
+			Faults: faults.NewPlan(faults.Straggler(1, math.NaN(), 0, 0))}, ErrBadFaultPlan},
 		{"fault node out of range", Config{Nodes: 4, BlockSize: 64, Protocol: SC,
 			Faults: faults.NewPlan(faults.Partition(0, 4, 0, 1000))}, ErrBadFaultPlan},
 		{"bad straggler factor", Config{Nodes: 4, BlockSize: 64, Protocol: SC,
@@ -65,9 +71,28 @@ func TestValidConfigsStillAccepted(t *testing.T) {
 		{Sequential: true, BlockSize: 64}, // nodes and protocol defaulted
 		{Nodes: 4, BlockSize: 64, Protocol: SWLRC,
 			Faults: faults.NewPlan(faults.Drop(0.01), faults.Seed(7))},
+		{Nodes: 4, BlockSize: 64, Protocol: SC, WhatIf: &critpath.Scale{Class: critpath.ClassLock}},
+		{Nodes: 4, BlockSize: 64, Protocol: SC, WhatIf: &critpath.Scale{Class: critpath.ClassBarrier, PPM: 100e6}},
 	} {
 		if _, err := NewMachine(cfg); err != nil {
 			t.Errorf("NewMachine(%+v): %v", cfg, err)
+		}
+	}
+}
+
+// TestWhatIfScaleValidated: a what-if scale outside what ParseScale
+// accepts (a negative or over-range factor, or no cost class) is rejected
+// before the run, not simulated.
+func TestWhatIfScaleValidated(t *testing.T) {
+	for _, s := range []critpath.Scale{
+		{Class: critpath.ClassCompute, PPM: -1},
+		{Class: critpath.ClassCompute, PPM: math.MinInt64}, // what "compute=nan" parsed to
+		{Class: critpath.ClassMsg, PPM: 100e6 + 1},
+		{Class: critpath.ClassNone, PPM: 1e6},
+		{Class: critpath.NumClasses, PPM: 1e6},
+	} {
+		if _, err := NewMachine(Config{Nodes: 4, BlockSize: 64, Protocol: SC, WhatIf: &s}); err == nil {
+			t.Errorf("NewMachine accepted what-if scale %+v", s)
 		}
 	}
 }

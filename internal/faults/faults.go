@@ -12,6 +12,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -119,8 +120,8 @@ var (
 	ErrBadWindow = errors.New("faults: window end must be after its start")
 	// ErrBadNode reports a node id that is negative or ≥ the cluster size.
 	ErrBadNode = errors.New("faults: node id out of range")
-	// ErrBadFactor reports a straggler factor below 1.
-	ErrBadFactor = errors.New("faults: straggler factor must be >= 1")
+	// ErrBadFactor reports a straggler factor below 1 or not finite.
+	ErrBadFactor = errors.New("faults: straggler factor must be finite and >= 1")
 	// ErrBadDuration reports a negative jitter or non-positive RTO.
 	ErrBadDuration = errors.New("faults: bad duration")
 )
@@ -145,11 +146,11 @@ func (p *Plan) ValidateFor(nodes int) error {
 	for _, r := range p.rules {
 		switch r.kind {
 		case kindDrop, kindDuplicate:
-			if r.p < 0 || r.p >= 1 {
+			if !(0 <= r.p && r.p < 1) { // NaN fails every comparison
 				return fmt.Errorf("%w: %v", ErrBadProbability, r.p)
 			}
 		case kindDropLink:
-			if r.p < 0 || r.p >= 1 {
+			if !(0 <= r.p && r.p < 1) { // NaN fails every comparison
 				return fmt.Errorf("%w: %v", ErrBadProbability, r.p)
 			}
 			if err := checkNode(r.a); err != nil {
@@ -180,7 +181,7 @@ func (p *Plan) ValidateFor(nodes int) error {
 			if err := checkNode(r.a); err != nil {
 				return err
 			}
-			if r.factor < 1 {
+			if !(1 <= r.factor && r.factor < math.Inf(1)) {
 				return fmt.Errorf("%w: %v", ErrBadFactor, r.factor)
 			}
 			if r.from < 0 || (r.to != 0 && r.to <= r.from) {

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"dsmsim/internal/sim"
@@ -18,8 +19,10 @@ func TestValidate(t *testing.T) {
 		{"good drop", NewPlan(Drop(0.01)), nil},
 		{"drop one", NewPlan(Drop(1)), ErrBadProbability},
 		{"drop negative", NewPlan(Drop(-0.1)), ErrBadProbability},
+		{"drop NaN", NewPlan(Drop(math.NaN())), ErrBadProbability},
 		{"good dup", NewPlan(Duplicate(0.5)), nil},
 		{"dup one", NewPlan(Duplicate(1)), ErrBadProbability},
+		{"dup NaN", NewPlan(Duplicate(math.NaN())), ErrBadProbability},
 		{"good jitter", NewPlan(Jitter(5000)), nil},
 		{"negative jitter", NewPlan(Jitter(-1)), ErrBadDuration},
 		{"zero rto", NewPlan(RTO(0)), ErrBadDuration},
@@ -28,9 +31,12 @@ func TestValidate(t *testing.T) {
 		{"unbounded partition", NewPlan(Partition(0, 1, 10, 0)), ErrBadWindow},
 		{"good straggler", NewPlan(Straggler(2, 2.0, 0, 0)), nil},
 		{"weak straggler", NewPlan(Straggler(2, 0.5, 0, 0)), ErrBadFactor},
+		{"NaN straggler", NewPlan(Straggler(2, math.NaN(), 0, 0)), ErrBadFactor},
+		{"infinite straggler", NewPlan(Straggler(2, math.Inf(1), 0, 0)), ErrBadFactor},
 		{"inverted straggler", NewPlan(Straggler(2, 2.0, 20, 10)), ErrBadWindow},
 		{"good linkdrop", NewPlan(DropLink(0, 3, 0.2)), nil},
 		{"linkdrop bad p", NewPlan(DropLink(0, 3, 1.5)), ErrBadProbability},
+		{"linkdrop NaN", NewPlan(DropLink(0, 1, math.NaN())), ErrBadProbability},
 	}
 	for _, tc := range cases {
 		err := tc.plan.Validate()
@@ -237,14 +243,17 @@ func TestParse(t *testing.T) {
 		t.Fatalf("empty spec: %v", err)
 	}
 	for _, bad := range []string{
-		"drop",            // no value
-		"drop=x",          // bad float
-		"drop=1.5",        // out of range — Validate runs
-		"nonsense=1",      // unknown clause
-		"partition=0-1",   // missing window
-		"partition=0@1:2", // bad pair
-		"linkdrop=0-1",    // missing probability
-		"jitter=zzz",      // bad duration
+		"drop",             // no value
+		"drop=x",           // bad float
+		"drop=1.5",         // out of range — Validate runs
+		"drop=NaN",         // NaN fails the range check
+		"dup=nan",          // any spelling of NaN
+		"linkdrop=0-1:NaN", // NaN link override
+		"nonsense=1",       // unknown clause
+		"partition=0-1",    // missing window
+		"partition=0@1:2",  // bad pair
+		"linkdrop=0-1",     // missing probability
+		"jitter=zzz",       // bad duration
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
@@ -273,6 +282,16 @@ func TestParseStragglers(t *testing.T) {
 	for _, bad := range []string{"3", "x2", "ax2", "3xz", "3x2@oops"} {
 		if _, err := ParseStragglers(bad); err == nil {
 			t.Errorf("ParseStragglers(%q) should fail", bad)
+		}
+	}
+	// Parsed factors are checked by validation, like every other rule.
+	for _, bad := range []string{"1xNaN", "1xnan", "1x+Inf"} {
+		rules, err := ParseStragglers(bad)
+		if err != nil {
+			t.Fatalf("ParseStragglers(%q): %v", bad, err)
+		}
+		if err := NewPlan(rules...).ValidateFor(4); !errors.Is(err, ErrBadFactor) {
+			t.Errorf("ParseStragglers(%q) validated to %v, want ErrBadFactor", bad, err)
 		}
 	}
 }

@@ -475,15 +475,7 @@ func (p *Protocol) handleFetch(m *network.Msg) {
 	}
 	home := homes.Home(b)
 	if here != home {
-		p.env.Stats[here].Forwards++
-		if tr := p.env.Tracer; tr != nil {
-			tr.Instant(here, trace.CatProto, "forward",
-				trace.A("block", int64(b)), trace.A("home", int64(home)))
-		}
-		if ct := p.env.Crit; ct != nil {
-			ct.MarkForward()
-		}
-		p.env.Send(here, &network.Msg{Dst: home, Kind: kFetch, Block: b, A: m.A, Flag: m.Flag, Bytes: m.Bytes})
+		p.env.Forward(here, b, "home", home, &network.Msg{Dst: home, Kind: kFetch, Block: b, A: m.A, Flag: m.Flag, Bytes: m.Bytes})
 		return
 	}
 	// Downgrade-on-serve: once a reader holds a copy, a later write by
@@ -507,32 +499,20 @@ func (p *Protocol) handleFetchData(m *network.Msg) {
 	node := m.Dst
 	b := m.Block
 	sp := p.env.Spaces[node]
-	copy(sp.BlockData(b), m.Data)
-	if o := p.env.Prof; o != nil {
-		o.Filled(node, b)
-	}
+	p.env.Install(node, b, m.Data)
 	if m.Flag {
 		sp.SetTag(b, mem.ReadWrite)
 		p.pending[node].becameHome = true
 		delete(p.installSet, b)
 		waiting := p.installing[b]
 		delete(p.installing, b)
-		for _, wm := range waiting {
-			wm := wm
-			// Continuation of this handler: re-enter its event context so
-			// the re-dispatched fetch chains from the install that enabled it.
-			var cur int32
-			if ct := p.env.Crit; ct != nil {
-				cur = ct.Context()
+		if len(waiting) > 0 {
+			// Fetches and diffs both wait on an install, so each goes
+			// back through Handle's dispatch on its kind.
+			handle := p.Handle
+			for _, wm := range waiting {
+				p.env.Redispatch(wm, handle)
 			}
-			p.env.Engine.After(0, func() {
-				if ct := p.env.Crit; ct != nil {
-					ct.SetContext(cur)
-					defer ct.ClearContext()
-				}
-				p.handleFetch(wm)
-				p.env.Net.Release(wm)
-			})
 		}
 	} else {
 		sp.SetTag(b, mem.ReadOnly)
@@ -555,21 +535,10 @@ func (p *Protocol) handleDiff(m *network.Msg) {
 	}
 	home := homes.Home(b)
 	if here != home {
-		p.env.Stats[here].Forwards++
-		if tr := p.env.Tracer; tr != nil {
-			tr.Instant(here, trace.CatProto, "forward",
-				trace.A("block", int64(b)), trace.A("home", int64(home)))
-		}
-		if ct := p.env.Crit; ct != nil {
-			ct.MarkForward()
-		}
-		p.env.Send(here, &network.Msg{Dst: home, Kind: kDiff, Block: b, Payload: dm, Bytes: m.Bytes})
+		p.env.Forward(here, b, "home", home, &network.Msg{Dst: home, Kind: kDiff, Block: b, Payload: dm, Bytes: m.Bytes})
 		return
 	}
-	dm.diff.Apply(p.env.Spaces[here].BlockData(b))
-	if o := p.env.Prof; o != nil {
-		o.DiffApplied(here, b, dm.diff)
-	}
+	p.env.ApplyDiff(here, b, dm.diff)
 	p.env.Stats[here].DiffsApplied++
 	if tr := p.env.Tracer; tr != nil {
 		tr.Instant(here, trace.CatProto, "diff-apply",

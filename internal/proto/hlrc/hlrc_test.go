@@ -335,3 +335,32 @@ func (a *finalizeApp) Run(c *core.Ctx) {
 	// No final barrier for node 1's write: Finalize must pick it up.
 }
 func (a *finalizeApp) Verify(h *core.Heap) error { return nil }
+
+// TestDiffQueuedBehindInstall: a diff that reaches a new home while the
+// home's first-touch install is still in flight waits for the install and
+// is then applied as a diff. Node 1 holds a read copy of block 0 from
+// before the claim; node 2's first store claims the block, and node 1's
+// release sends its diff to node 2 during the install window. Dispatching
+// the queued diff as a fetch would lose node 1's write.
+func TestDiffQueuedBehindInstall(t *testing.T) {
+	const claimAt = sim.Millisecond
+	for _, lag := range []sim.Time{0, 100 * sim.Microsecond, 300 * sim.Microsecond} {
+		run(t, 3, 4096, func(c *core.Ctx) {
+			switch c.ID() {
+			case 1:
+				c.Lock(0)
+				_ = c.ReadI64(0) // unclaimed: a read copy, no claim
+				c.Compute(claimAt + lag - c.Now())
+				c.WriteI64(0, 7)
+				c.Unlock(0)
+			case 2:
+				c.Compute(claimAt)
+				c.WriteI64(8, 5) // first store: claims block 0
+			}
+			c.Barrier()
+			if a, b := c.ReadI64(0), c.ReadI64(8); a != 7 || b != 5 {
+				panic(fmt.Sprintf("lag %v: node %d read %d, %d; want 7, 5", lag, c.ID(), a, b))
+			}
+		})
+	}
+}

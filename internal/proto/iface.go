@@ -45,17 +45,12 @@ type Env struct {
 	// a nil check so disabled tracing costs one branch.
 	Tracer *trace.Tracer
 
-	// Prof is the sharing-pattern profiler's protocol-path observer, nil
-	// when profiling is off. Protocols report the events only they can
-	// see — full-block installs and diff applications — behind a nil
-	// check, like Tracer; the core feeds the access/fault/tag side.
+	// Prof is the sharing-pattern profiler's protocol-path observer and
+	// Crit the critical-path tracker, each nil when its profiler is off.
+	// Protocols never read them: the events only a protocol can see reach
+	// both through Env's four observer helpers — Forward, Redispatch,
+	// Install and ApplyDiff — which own the nil checks.
 	Prof SharingObserver
-
-	// Crit is the critical-path tracker, nil when the profiler is off.
-	// Protocols mark the one event only they can see — a request
-	// re-forwarded by a stale home or non-owner — by calling
-	// Crit.MarkForward immediately before the forwarding Send, behind a
-	// nil check like Tracer.
 	Crit *critpath.Tracker
 }
 
@@ -70,6 +65,62 @@ type SharingObserver interface {
 	// DiffApplied reports that d was applied to node's copy of block
 	// (HLRC's home update): exactly the diffed bytes become current.
 	DiffApplied(node, block int, d mem.Diff)
+}
+
+// Forward re-sends a request that reached here, a stale home or a
+// non-owner, on to block b's current holder to, which role names as the
+// trace key ("home" or "owner"). It counts the forward, traces it and
+// marks the transmit as a forwarding hop for the critical path.
+func (e *Env) Forward(here, b int, role string, to int, fwd *network.Msg) {
+	e.Stats[here].Forwards++
+	if tr := e.Tracer; tr != nil {
+		tr.Instant(here, trace.CatProto, "forward",
+			trace.A("block", int64(b)), trace.A(role, int64(to)))
+	}
+	if ct := e.Crit; ct != nil {
+		ct.MarkForward()
+	}
+	e.Send(here, fwd)
+}
+
+// Redispatch re-runs handle on a message a protocol retained while a
+// transaction or install was in flight, as a zero-delay event, then
+// releases it. The re-dispatch continues the handler that enabled it, so
+// it re-enters that handler's critical-path event context. Binding a
+// method value allocates, so callers bind handle once per non-empty batch
+// of waiting messages: each re-dispatched message then costs one closure.
+func (e *Env) Redispatch(m *network.Msg, handle func(*network.Msg)) {
+	var cur int32
+	if ct := e.Crit; ct != nil {
+		cur = ct.Context()
+	}
+	e.Engine.After(0, func() {
+		if ct := e.Crit; ct != nil {
+			ct.SetContext(cur)
+			defer ct.ClearContext()
+		}
+		handle(m)
+		e.Net.Release(m)
+	})
+}
+
+// Install copies a complete, current copy of block b into node's space
+// (data grants, write-backs, migrations) and reports the fill to the
+// sharing profiler.
+func (e *Env) Install(node, b int, data []byte) {
+	copy(e.Spaces[node].BlockData(b), data)
+	if o := e.Prof; o != nil {
+		o.Filled(node, b)
+	}
+}
+
+// ApplyDiff applies d to node's copy of block b and reports it to the
+// sharing profiler: exactly the diffed bytes become current.
+func (e *Env) ApplyDiff(node, b int, d mem.Diff) {
+	d.Apply(e.Spaces[node].BlockData(b))
+	if o := e.Prof; o != nil {
+		o.DiffApplied(node, b, d)
+	}
 }
 
 // Nodes returns the node count.

@@ -160,7 +160,7 @@ func (p *Protocol) ServiceCost(m *network.Msg) sim.Time {
 func (p *Protocol) Handle(m *network.Msg) {
 	switch m.Kind {
 	case kReadReq, kWriteReq:
-		p.handleReq(m.Dst, m)
+		p.handleReq(m)
 	case kData:
 		p.handleData(m, false)
 	case kDataEx:
@@ -180,8 +180,8 @@ func (p *Protocol) Handle(m *network.Msg) {
 
 // handleReq runs at the node a request arrived at: the home, the static
 // home (directory), or a stale cached home.
-func (p *Protocol) handleReq(here int, m *network.Msg) {
-	b := m.Block
+func (p *Protocol) handleReq(m *network.Msg) {
+	here, b := m.Dst, m.Block
 	homes := p.env.Homes
 	requester := int(m.A)
 	if !homes.Claimed(b) {
@@ -221,15 +221,7 @@ func (p *Protocol) handleReq(here int, m *network.Msg) {
 	home := homes.Home(b)
 	if here != home {
 		// Stale cache or directory lookup: forward to the real home.
-		p.env.Stats[here].Forwards++
-		if tr := p.env.Tracer; tr != nil {
-			tr.Instant(here, trace.CatProto, "forward",
-				trace.A("block", int64(b)), trace.A("home", int64(home)))
-		}
-		if ct := p.env.Crit; ct != nil {
-			ct.MarkForward()
-		}
-		p.env.Send(here, &network.Msg{
+		p.env.Forward(here, b, "home", home, &network.Msg{
 			Dst: home, Kind: m.Kind, Block: b, A: m.A, Bytes: m.Bytes,
 		})
 		return
@@ -362,35 +354,19 @@ func (p *Protocol) drain(b int) {
 		return
 	}
 	delete(p.txns, b)
-	for _, m := range t.waitq {
-		m := m
-		// The re-dispatch is a continuation of the handler that finished
-		// the transaction: re-enter its event context so the queued
-		// request's resolution chains from the service that enabled it.
-		var cur int32
-		if ct := p.env.Crit; ct != nil {
-			cur = ct.Context()
+	if len(t.waitq) > 0 {
+		handle := p.handleReq
+		for _, m := range t.waitq {
+			p.env.Redispatch(m, handle)
 		}
-		p.env.Engine.After(0, func() {
-			if ct := p.env.Crit; ct != nil {
-				ct.SetContext(cur)
-				defer ct.ClearContext()
-			}
-			p.handleReq(m.Dst, m)
-			p.env.Net.Release(m)
-		})
 	}
 }
 
 // handleData installs a granted copy at the requester and resumes it.
 func (p *Protocol) handleData(m *network.Msg, exclusive bool) {
 	node := m.Dst
-	sp := p.env.Spaces[node]
 	if m.Data != nil {
-		copy(sp.BlockData(m.Block), m.Data)
-		if o := p.env.Prof; o != nil {
-			o.Filled(node, m.Block)
-		}
+		p.env.Install(node, m.Block, m.Data)
 	}
 	p.complete(node, m.Block, exclusive)
 	if t := p.txns[m.Block]; t != nil && t.install {
@@ -482,11 +458,8 @@ func (p *Protocol) handleWBData(m *network.Msg) {
 	if t == nil {
 		panic(fmt.Sprintf("sc: stray write-back for block %d", b))
 	}
+	p.env.Install(home, b, m.Data) // the write-back makes the home copy current
 	sp := p.env.Spaces[home]
-	copy(sp.BlockData(b), m.Data)
-	if o := p.env.Prof; o != nil {
-		o.Filled(home, b) // the write-back makes the home copy current
-	}
 	e := p.dir.At(b)
 	old := int(e.owner)
 	e.owner = -1

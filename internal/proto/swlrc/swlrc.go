@@ -337,26 +337,14 @@ func (p *Protocol) handleRead(m *network.Msg) {
 		return
 	}
 	// Too stale (or no copy): forward to the current owner.
-	p.env.Stats[here].Forwards++
-	if tr := p.env.Tracer; tr != nil {
-		tr.Instant(here, trace.CatProto, "forward",
-			trace.A("block", int64(b)), trace.A("owner", int64(d.owner)))
-	}
-	if ct := p.env.Crit; ct != nil {
-		ct.MarkForward()
-	}
-	p.env.Send(here, &network.Msg{Dst: int(d.owner), Kind: kRead, Block: b, A: m.A, B: m.B, Bytes: m.Bytes})
+	p.env.Forward(here, b, "owner", int(d.owner), &network.Msg{Dst: int(d.owner), Kind: kRead, Block: b, A: m.A, B: m.B, Bytes: m.Bytes})
 }
 
 func (p *Protocol) handleReadData(m *network.Msg) {
 	node := m.Dst
 	b := m.Block
-	sp := p.env.Spaces[node]
-	copy(sp.BlockData(b), m.Data)
-	if o := p.env.Prof; o != nil {
-		o.Filled(node, b)
-	}
-	sp.SetTag(b, mem.ReadOnly)
+	p.env.Install(node, b, m.Data)
+	p.env.Spaces[node].SetTag(b, mem.ReadOnly)
 	v := p.at(node, b)
 	v.localVer = int32(m.A)
 	v.lastKnown = int32(m.B)
@@ -384,15 +372,7 @@ func (p *Protocol) handleOwn(m *network.Msg) {
 		return
 	}
 	if int(d.owner) != here {
-		p.env.Stats[here].Forwards++
-		if tr := p.env.Tracer; tr != nil {
-			tr.Instant(here, trace.CatProto, "forward",
-				trace.A("block", int64(b)), trace.A("owner", int64(d.owner)))
-		}
-		if ct := p.env.Crit; ct != nil {
-			ct.MarkForward()
-		}
-		p.env.Send(here, &network.Msg{Dst: int(d.owner), Kind: kOwn, Block: b, A: m.A, B: m.B, Bytes: m.Bytes})
+		p.env.Forward(here, b, "owner", int(d.owner), &network.Msg{Dst: int(d.owner), Kind: kOwn, Block: b, A: m.A, B: m.B, Bytes: m.Bytes})
 		return
 	}
 	// Migrate ownership: bump the version, keep a read-only copy.
@@ -424,10 +404,7 @@ func (p *Protocol) handleOwnData(m *network.Msg) {
 	b := m.Block
 	sp := p.env.Spaces[node]
 	if m.Data != nil {
-		copy(sp.BlockData(b), m.Data)
-		if o := p.env.Prof; o != nil {
-			o.Filled(node, b)
-		}
+		p.env.Install(node, b, m.Data)
 	}
 	if p.pending[node].write {
 		sp.SetTag(b, mem.ReadWrite)
@@ -446,22 +423,11 @@ func (p *Protocol) handleOwnData(m *network.Msg) {
 	waiting := p.installing[b]
 	delete(p.installing, b)
 	p.env.Procs[node].Unblock()
-	for _, wm := range waiting {
-		wm := wm
-		// Continuation of this handler: re-enter its event context so the
-		// re-dispatched request chains from the install that enabled it.
-		var cur int32
-		if ct := p.env.Crit; ct != nil {
-			cur = ct.Context()
+	if len(waiting) > 0 {
+		handle := p.Handle
+		for _, wm := range waiting {
+			p.env.Redispatch(wm, handle)
 		}
-		p.env.Engine.After(0, func() {
-			if ct := p.env.Crit; ct != nil {
-				ct.SetContext(cur)
-				defer ct.ClearContext()
-			}
-			p.Handle(wm)
-			p.env.Net.Release(wm)
-		})
 	}
 }
 

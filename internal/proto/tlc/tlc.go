@@ -257,7 +257,7 @@ func (p *Protocol) ServiceCost(m *network.Msg) sim.Time {
 func (p *Protocol) Handle(m *network.Msg) {
 	switch m.Kind {
 	case kRead, kWrite:
-		p.handleReq(m.Dst, m)
+		p.handleReq(m)
 	case kGrantS, kLeaseExt:
 		p.handleGrantS(m)
 	case kGrantX:
@@ -273,8 +273,8 @@ func (p *Protocol) Handle(m *network.Msg) {
 
 // handleReq runs at the node a request arrived at: the home, the static
 // home (directory), or a stale cached home.
-func (p *Protocol) handleReq(here int, m *network.Msg) {
-	b := m.Block
+func (p *Protocol) handleReq(m *network.Msg) {
+	here, b := m.Dst, m.Block
 	homes := p.env.Homes
 	requester, held := unpackReq(m.A)
 	if !homes.Claimed(b) {
@@ -287,15 +287,7 @@ func (p *Protocol) handleReq(here int, m *network.Msg) {
 	home := homes.Home(b)
 	if here != home {
 		// Stale cache or directory lookup: forward to the real home.
-		p.env.Stats[here].Forwards++
-		if tr := p.env.Tracer; tr != nil {
-			tr.Instant(here, trace.CatProto, "forward",
-				trace.A("block", int64(b)), trace.A("home", int64(home)))
-		}
-		if ct := p.env.Crit; ct != nil {
-			ct.MarkForward()
-		}
-		p.env.Send(here, &network.Msg{
+		p.env.Forward(here, b, "home", home, &network.Msg{
 			Dst: home, Kind: m.Kind, Block: b, A: m.A, B: m.B, Bytes: m.Bytes,
 		})
 		return
@@ -461,23 +453,11 @@ func (p *Protocol) drain(b int) {
 		return
 	}
 	delete(p.txns, b)
-	for _, m := range t.waitq {
-		m := m
-		// The re-dispatch is a continuation of the handler that finished
-		// the transaction: re-enter its event context so the queued
-		// request's resolution chains from the service that enabled it.
-		var cur int32
-		if ct := p.env.Crit; ct != nil {
-			cur = ct.Context()
+	if len(t.waitq) > 0 {
+		handle := p.handleReq
+		for _, m := range t.waitq {
+			p.env.Redispatch(m, handle)
 		}
-		p.env.Engine.After(0, func() {
-			if ct := p.env.Crit; ct != nil {
-				ct.SetContext(cur)
-				defer ct.ClearContext()
-			}
-			p.handleReq(m.Dst, m)
-			p.env.Net.Release(m)
-		})
 	}
 }
 
@@ -486,16 +466,12 @@ func (p *Protocol) drain(b int) {
 func (p *Protocol) handleGrantS(m *network.Msg) {
 	node := m.Dst
 	b := m.Block
-	sp := p.env.Spaces[node]
 	if m.Data != nil {
-		copy(sp.BlockData(b), m.Data)
-		if o := p.env.Prof; o != nil {
-			o.Filled(node, b)
-		}
+		p.env.Install(node, b, m.Data)
 	} else {
 		p.env.Stats[node].LeaseRenewals++
 	}
-	sp.SetTag(b, mem.ReadOnly)
+	p.env.Spaces[node].SetTag(b, mem.ReadOnly)
 	v := p.view(node, b)
 	v.wts, v.rts = m.A, m.B
 	p.leased[node].Add(b)
@@ -506,14 +482,10 @@ func (p *Protocol) handleGrantS(m *network.Msg) {
 func (p *Protocol) handleGrantX(m *network.Msg) {
 	node := m.Dst
 	b := m.Block
-	sp := p.env.Spaces[node]
 	if m.Data != nil {
-		copy(sp.BlockData(b), m.Data)
-		if o := p.env.Prof; o != nil {
-			o.Filled(node, b)
-		}
+		p.env.Install(node, b, m.Data)
 	}
-	sp.SetTag(b, mem.ReadWrite)
+	p.env.Spaces[node].SetTag(b, mem.ReadWrite)
 	v := p.view(node, b)
 	v.wts, v.rts = m.A, m.B
 	p.leased[node].Remove(b) // a leased reader upgrading sheds the lease
@@ -575,14 +547,10 @@ func (p *Protocol) handleWBData(m *network.Msg) {
 	if t == nil {
 		panic(fmt.Sprintf("tlc: stray write-back for block %d", b))
 	}
-	sp := p.env.Spaces[home]
-	copy(sp.BlockData(b), m.Data)
-	if o := p.env.Prof; o != nil {
-		o.Filled(home, b) // the write-back makes the home copy current
-	}
+	p.env.Install(home, b, m.Data) // the write-back makes the home copy current
 	d := p.dir.At(b)
 	d.owner = -1
-	sp.SetTag(b, mem.ReadOnly)
+	p.env.Spaces[home].SetTag(b, mem.ReadOnly)
 	p.view(home, b).wts = d.wts
 	if t.write {
 		p.grantWrite(home, b, t.requester, t.reqPts, t.held)

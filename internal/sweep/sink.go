@@ -22,16 +22,8 @@ import (
 // to serial.
 type Sink struct {
 	progress   io.Writer
-	csv        *csvSink
-	samples    *sampleSink
-	profs      *profSink
-	crits      *critSink
+	tables     []*table // the per-run CSV outputs, in Emit order
 	histograms bool
-
-	// faultCol adds the fault-variant column to every CSV schema and a
-	// variant tag to progress lines. On only for fault-grid sweeps, so
-	// grid-free output stays byte-identical to what it always was.
-	faultCol bool
 
 	// enriched switches progress lines to the metrics format: a
 	// completion counter prefix and per-run fault/traffic fields. The
@@ -46,25 +38,16 @@ type Sink struct {
 	closed bool
 }
 
-// NewSink builds a sink. progress, csv, samples, profs and crits may be
-// nil; histograms adds a latency-distribution line after each run record;
-// enriched selects the counter-prefixed progress format (the live-metrics
-// mode); faultCol adds the fault-variant column (fault-grid sweeps).
-func NewSink(progress, csv io.Writer, histograms bool, samples, profs, crits io.Writer, enriched, faultCol bool) *Sink {
-	s := &Sink{progress: progress, histograms: histograms, enriched: enriched,
-		faultCol: faultCol, ch: make(chan func(), 64), done: make(chan struct{})}
-	if csv != nil {
-		s.csv = &csvSink{w: csv, fault: faultCol}
-	}
-	if samples != nil {
-		s.samples = &sampleSink{w: samples, fault: faultCol}
-	}
-	if profs != nil {
-		s.profs = &profSink{w: profs, fault: faultCol}
-	}
-	if crits != nil {
-		s.crits = &critSink{w: crits, fault: faultCol}
-	}
+// NewSink builds the sink for an engine's options: Progress and the four
+// CSV writers may be nil, Histograms adds a latency-distribution line
+// after each run record, a Metrics registry selects the counter-prefixed
+// progress format, and a FaultGrid adds the fault-variant column to every
+// CSV schema.
+func NewSink(opts Options) *Sink {
+	s := &Sink{progress: opts.Progress, histograms: opts.Histograms,
+		enriched: opts.Metrics != nil,
+		tables:   tables(opts),
+		ch:       make(chan func(), 64), done: make(chan struct{})}
 	go func() {
 		defer close(s.done)
 		for fn := range s.ch {
@@ -107,17 +90,10 @@ func (s *Sink) Emit(k Key, res *core.Result) {
 				}
 			}
 		}
-		if s.csv != nil && !k.Sequential {
-			s.csv.Write(k, res)
-		}
-		if s.samples != nil && !k.Sequential && res.Samples != nil {
-			s.samples.Write(k, res)
-		}
-		if s.profs != nil && !k.Sequential && res.Sharing != nil {
-			s.profs.Write(k, res)
-		}
-		if s.crits != nil && !k.Sequential && res.CritPath != nil {
-			s.crits.Write(k, res)
+		if !k.Sequential {
+			for _, t := range s.tables {
+				t.write(k, res)
+			}
 		}
 	})
 }
@@ -180,88 +156,102 @@ func FaultHist(res *core.Result) stats.Histogram {
 // csvHeader is the machine-readable schema, one record per run.
 const csvHeader = "app,protocol,block,notify,nodes,time_ns,read_faults,write_faults,invalidations,twins,diffs,write_notices,lock_acquires,barrier_entries,net_msgs,net_bytes,fault_p50_ns,fault_p90_ns,fault_p99_ns,msg_p50_ns,msg_p90_ns,msg_p99_ns,lock_p50_ns,lock_p90_ns,lock_p99_ns,retransmits,wire_drops,dup_frames,retx_p50_ns,retx_p99_ns"
 
-// csvSink writes CSV records with the header emitted exactly once, even
-// under concurrent use, and is append-aware: when the underlying writer is
-// a file that already holds records (dsmbench opens its -csv file in
-// append mode), the header is suppressed automatically — callers no longer
-// pre-inspect the file or manage a has-header flag.
-type csvSink struct {
+// table is one per-run CSV output. Its header is written exactly once,
+// even under concurrent use, and is append-aware: when the writer is a
+// file that already holds records (the CLIs open their CSV files in
+// append mode), the header is suppressed. rows renders one run's rows,
+// or reports false when the run carries no data for this table (a run
+// without samples writes nothing to the sample table, not even the
+// header).
+type table struct {
 	mu     sync.Mutex
 	w      io.Writer
-	header bool // header decision made
-	fault  bool // append the fault-variant column
+	header string
+	rows   func(k Key, res *core.Result) ([]byte, bool)
+	begun  bool // header decision made
 }
 
-// Write appends one record, emitting the header first if this sink has not
-// decided the header question yet.
-func (c *csvSink) Write(k Key, res *core.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.header {
-		c.header = true
-		if !hasExistingData(c.w) {
-			h := csvHeader
-			if c.fault {
-				h += ",fault"
-			}
-			fmt.Fprintln(c.w, h)
+// write appends one run's rows, emitting the header first if this table
+// has not decided the header question yet.
+func (t *table) write(k Key, res *core.Result) {
+	b, ok := t.rows(k, res)
+	if !ok {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.begun {
+		t.begun = true
+		if !hasExistingData(t.w) {
+			io.WriteString(t.w, t.header+"\n")
 		}
 	}
+	t.w.Write(b)
+}
+
+// tables builds a table for each CSV writer opts sets: the run records,
+// then the sampler series, sharing profiles and critical-path rows, each
+// of the latter three prefixed with the run-key columns. A fault grid
+// adds the fault-variant column to every schema.
+func tables(opts Options) []*table {
+	fault := len(opts.FaultGrid) > 0
+	var ts []*table
+	add := func(w io.Writer, header string, rows func(Key, *core.Result) ([]byte, bool)) {
+		if w != nil {
+			ts = append(ts, &table{w: w, header: header, rows: rows})
+		}
+	}
+	runHeader := csvHeader
+	if fault {
+		runHeader += ",fault"
+	}
+	add(opts.CSV, runHeader, func(k Key, res *core.Result) ([]byte, bool) {
+		return runRow(k, res, fault), true
+	})
+	add(opts.SampleCSV, keyHeader(fault)+metrics.SeriesHeader, func(k Key, res *core.Result) ([]byte, bool) {
+		if res.Samples == nil {
+			return nil, false
+		}
+		return res.Samples.AppendRows(nil, keyPrefix(k, res, fault)), true
+	})
+	add(opts.ProfCSV, keyHeader(fault)+shareprof.CSVHeader, func(k Key, res *core.Result) ([]byte, bool) {
+		if res.Sharing == nil {
+			return nil, false
+		}
+		return res.Sharing.AppendRows(nil, keyPrefix(k, res, fault)), true
+	})
+	add(opts.CritCSV, keyHeader(fault)+critpath.CSVHeader, func(k Key, res *core.Result) ([]byte, bool) {
+		if res.CritPath == nil {
+			return nil, false
+		}
+		return res.CritPath.AppendRow(nil, keyPrefix(k, res, fault)), true
+	})
+	return ts
+}
+
+// runRow renders one run's record in the csvHeader schema.
+func runRow(k Key, res *core.Result, fault bool) []byte {
 	t := res.Total
-	fault := FaultHist(res)
-	row := fmt.Sprintf("%s,%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d",
+	fh := FaultHist(res)
+	b := fmt.Appendf(nil, "%s,%s,%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d",
 		res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes, int64(res.Time),
 		t.ReadFaults, t.WriteFaults, t.Invalidations, t.TwinsCreated, t.DiffsCreated,
 		t.WriteNoticesSent, t.LockAcquires, t.BarrierEntries, res.NetMsgs, res.NetBytes,
-		fault.P50(), fault.P90(), fault.P99(),
+		fh.P50(), fh.P90(), fh.P99(),
 		res.MsgLatency.P50(), res.MsgLatency.P90(), res.MsgLatency.P99(),
 		t.LockWait.P50(), t.LockWait.P90(), t.LockWait.P99(),
 		res.Retransmits, res.WireDrops, res.Duplicates,
 		res.RetransmitLatency.P50(), res.RetransmitLatency.P99())
-	if c.fault {
-		row += "," + k.Fault
+	if fault {
+		b = append(b, ',')
+		b = append(b, k.Fault...)
 	}
-	fmt.Fprintln(c.w, row)
+	return append(b, '\n')
 }
 
-// sampleSink writes each run's sampler time-series as CSV rows prefixed
-// with the run-key columns. Same header discipline as csvSink: written
-// once, suppressed on an append-mode file with existing records. Rows
-// reach it in canonical sweep order through the Sink goroutine, so the
-// file is byte-identical at any parallelism.
-type sampleSink struct {
-	mu     sync.Mutex
-	w      io.Writer
-	header bool
-	fault  bool
-}
-
-// Write appends one run's series.
-func (c *sampleSink) Write(k Key, res *core.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.header {
-		c.header = true
-		if !hasExistingData(c.w) {
-			fmt.Fprintln(c.w, keyHeader(c.fault)+metrics.SeriesHeader)
-		}
-	}
-	c.w.Write(res.Samples.AppendRows(nil, keyPrefix(k, res, c.fault)))
-}
-
-// profSink writes each run's sharing profile as CSV rows (one per region
-// plus a total) prefixed with the run-key columns. Same header discipline
-// as csvSink, same ordered delivery through the Sink goroutine, so the
-// file is byte-identical at any parallelism.
-type profSink struct {
-	mu     sync.Mutex
-	w      io.Writer
-	header bool
-	fault  bool
-}
-
-// keyHeader is the run-key column prefix of the sample and profile
-// schemas, with the fault column appended on fault-grid sweeps.
+// keyHeader is the run-key column prefix of the sample, profile and
+// critical-path schemas, with the fault column appended on fault-grid
+// sweeps.
 func keyHeader(fault bool) string {
 	if fault {
 		return "app,protocol,block,notify,nodes,fault,"
@@ -275,43 +265,6 @@ func keyPrefix(k Key, res *core.Result, fault bool) string {
 		return fmt.Sprintf("%s,%s,%d,%s,%d,%s,", res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes, k.Fault)
 	}
 	return fmt.Sprintf("%s,%s,%d,%s,%d,", res.App, res.Protocol, res.BlockSize, res.Notify, res.Nodes)
-}
-
-// Write appends one run's sharing profile.
-func (c *profSink) Write(k Key, res *core.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.header {
-		c.header = true
-		if !hasExistingData(c.w) {
-			fmt.Fprintln(c.w, keyHeader(c.fault)+shareprof.CSVHeader)
-		}
-	}
-	c.w.Write(res.Sharing.AppendRows(nil, keyPrefix(k, res, c.fault)))
-}
-
-// critSink writes each run's critical-path component row prefixed with
-// the run-key columns. Same header discipline as csvSink, same ordered
-// delivery through the Sink goroutine, so the file is byte-identical at
-// any parallelism.
-type critSink struct {
-	mu     sync.Mutex
-	w      io.Writer
-	header bool
-	fault  bool
-}
-
-// Write appends one run's critical-path row.
-func (c *critSink) Write(k Key, res *core.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.header {
-		c.header = true
-		if !hasExistingData(c.w) {
-			fmt.Fprintln(c.w, keyHeader(c.fault)+critpath.CSVHeader)
-		}
-	}
-	c.w.Write(res.CritPath.AppendRow(nil, keyPrefix(k, res, c.fault)))
 }
 
 // hasExistingData reports whether w is a seekable file that already holds

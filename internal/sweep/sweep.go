@@ -212,9 +212,7 @@ func New(opts Options) *Engine {
 		apps: apps.Get,
 		memo: NewMemo[Key, *core.Result](),
 		cps:  NewMemo[cpKey, *prefix](),
-		sink: NewSink(opts.Progress, opts.CSV, opts.Histograms,
-			opts.SampleCSV, opts.ProfCSV, opts.CritCSV, opts.Metrics != nil,
-			len(opts.FaultGrid) > 0),
+		sink: NewSink(opts),
 	}
 }
 

@@ -5,17 +5,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"dsmsim/internal/apps"
 	"dsmsim/internal/core"
+	"dsmsim/internal/critpath"
 	"dsmsim/internal/metrics"
 	"dsmsim/internal/network"
+	"dsmsim/internal/shareprof"
 	"dsmsim/internal/sim"
 )
 
@@ -256,14 +260,14 @@ func TestSweepUnknownAppFailsFast(t *testing.T) {
 
 func TestCSVSinkHeaderOnceConcurrent(t *testing.T) {
 	var buf bytes.Buffer
-	c := &csvSink{w: &safeWriter{w: &buf}}
+	c := tables(Options{CSV: &safeWriter{w: &buf}})[0]
 	res := &core.Result{App: "lu", Protocol: "sc", BlockSize: 64, Nodes: 4}
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.Write(Key{}, res)
+			c.write(Key{}, res)
 		}()
 	}
 	wg.Wait()
@@ -286,41 +290,91 @@ func (s *safeWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
+// TestCSVSinkAppendAware: every CSV schema, with and without the fault
+// column, writes its header on a fresh append-mode file and suppresses
+// it on a file that already holds records; a run without the schema's
+// data writes nothing at all.
 func TestCSVSinkAppendAware(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.csv")
-	res := &core.Result{App: "lu", Protocol: "sc", BlockSize: 64, Nodes: 4}
-
-	// First invocation: fresh file gets the header.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
+	res := &core.Result{App: "lu", Protocol: "sc", BlockSize: 64, Nodes: 4,
+		Samples:  &metrics.Series{Samples: []metrics.Sample{{At: 100}}},
+		Sharing:  &shareprof.Report{Total: shareprof.RegionStats{Name: "total"}},
+		CritPath: &critpath.Report{},
 	}
-	(&csvSink{w: f}).Write(Key{}, res)
-	f.Close()
-
-	// Second invocation, same append-mode pattern: no second header.
-	f, err = os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
+	bare := &core.Result{App: "lu", Protocol: "sc", BlockSize: 64, Nodes: 4}
+	schemas := []struct {
+		name string
+		set  func(o *Options, w io.Writer)
+		bare bool // a run without profiler data still gets a row
+	}{
+		{"runs", func(o *Options, w io.Writer) { o.CSV = w }, true},
+		{"samples", func(o *Options, w io.Writer) { o.SampleCSV = w }, false},
+		{"profile", func(o *Options, w io.Writer) { o.ProfCSV = w }, false},
+		{"critpath", func(o *Options, w io.Writer) { o.CritCSV = w }, false},
 	}
-	(&csvSink{w: f}).Write(Key{}, res)
-	f.Close()
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := bytes.Count(data, []byte("app,protocol")); n != 1 {
-		t.Fatalf("headers = %d, want 1 across two append invocations:\n%s", n, data)
-	}
-	if n := bytes.Count(data, []byte("\n")); n != 3 {
-		t.Fatalf("lines = %d, want 3 (header + 2 records)", n)
+	for _, sc := range schemas {
+		for _, fault := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/fault=%v", sc.name, fault), func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "out.csv")
+				k := Key{}
+				var grid []FaultVariant
+				if fault {
+					k.Fault = "s1"
+					grid = []FaultVariant{{Name: "s1"}}
+				}
+				// Two invocations, the CLIs' append-mode pattern: the
+				// first writes the header, the second must not.
+				var header string
+				for i := 0; i < 2; i++ {
+					f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts := Options{FaultGrid: grid}
+					sc.set(&opts, f)
+					tb := tables(opts)[0]
+					header = tb.header
+					tb.write(k, bare)
+					tb.write(k, res)
+					f.Close()
+				}
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.HasPrefix(string(data), header+"\n") {
+					t.Fatalf("file does not start with the header %q:\n%s", header, data)
+				}
+				if n := strings.Count(string(data), header); n != 1 {
+					t.Fatalf("headers = %d, want 1 across two append invocations:\n%s", n, data)
+				}
+				if slices.Contains(strings.Split(header, ","), "fault") != fault {
+					t.Fatalf("header %q: fault column present = %v, want %v", header, !fault, fault)
+				}
+				rows := 2 // res in each invocation
+				if sc.bare {
+					rows = 4
+				}
+				lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+				if want := 1 + rows; len(lines) != want {
+					t.Fatalf("lines = %d, want %d:\n%s", len(lines), want, data)
+				}
+				cols := strings.Count(header, ",")
+				for _, l := range lines[1:] {
+					if strings.Count(l, ",") != cols {
+						t.Fatalf("row %q has %d columns, header %d", l, strings.Count(l, ",")+1, cols+1)
+					}
+					if fault && !strings.Contains(l, ",s1") {
+						t.Fatalf("row %q lacks the fault variant", l)
+					}
+				}
+			})
+		}
 	}
 }
 
 func TestSinkSerializesLogf(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewSink(&buf, nil, false, nil, nil, nil, false, false)
+	s := NewSink(Options{Progress: &buf})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		i := i
@@ -347,7 +401,7 @@ func TestSinkSerializesLogf(t *testing.T) {
 
 func TestSinkEmitAfterClose(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewSink(&buf, nil, false, nil, nil, nil, false, false)
+	s := NewSink(Options{Progress: &buf})
 	s.Close()
 	s.Logf("late") // must not panic; degrades to synchronous
 	if !bytes.Contains(buf.Bytes(), []byte("late")) {
